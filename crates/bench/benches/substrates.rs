@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use duc_codec::{decode_from_slice, encode_to_vec};
-use duc_crypto::{hmac_sha256, sha256, ChaCha20, KeyPair, MerkleTree};
+use duc_crypto::{hash_parts, hmac_sha256, sha256, ChaCha20, KeyPair, MerkleTree};
 use duc_policy::prelude::*;
 use duc_sim::{SimDuration, SimTime};
 
@@ -13,6 +13,17 @@ fn bench_hashing(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
     let data_1k = vec![0xABu8; 1024];
     let data_64k = vec![0xABu8; 64 * 1024];
+    // Small inputs, where padding and finalization dominate: a 32-byte
+    // digest (Merkle nodes, ids) and a state-commitment account row
+    // (domain tag, address, balance, nonce).
+    let data_32 = [0xABu8; 32];
+    group.throughput(Throughput::Bytes(32));
+    group.bench_function("sha256/32B", |b| b.iter(|| sha256(black_box(&data_32))));
+    let (balance, nonce) = (1_000_000u128.to_le_bytes(), 7u64.to_le_bytes());
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("hash_parts/account-row", |b| {
+        b.iter(|| hash_parts(black_box(&[b"duc/state/acct", &data_32, &balance, &nonce])))
+    });
     group.throughput(Throughput::Bytes(1024));
     group.bench_function("sha256/1KiB", |b| b.iter(|| sha256(black_box(&data_1k))));
     group.throughput(Throughput::Bytes(64 * 1024));

@@ -322,15 +322,15 @@ where
                 scope.spawn(move || {
                     let mut done: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let task = queues[w]
-                            .lock()
-                            .expect("queue poisoned")
-                            .pop_front()
-                            .or_else(|| {
-                                order.iter().find_map(|&v| {
-                                    queues[v].lock().expect("queue poisoned").pop_back()
-                                })
-                            });
+                        // The own-queue guard must drop before stealing:
+                        // holding it while locking a victim's queue lets two
+                        // idle workers deadlock in ABBA order.
+                        let own = queues[w].lock().expect("queue poisoned").pop_front();
+                        let task = own.or_else(|| {
+                            order
+                                .iter()
+                                .find_map(|&v| queues[v].lock().expect("queue poisoned").pop_back())
+                        });
                         match task {
                             Some(i) => done.push((i, f(i))),
                             None => break,
@@ -443,6 +443,27 @@ mod tests {
             let out = run_batch(threads, 42, 100, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn run_batch_stress_never_deadlocks() {
+        // Thousands of small batches on forced multi-worker pools (the
+        // explicit thread count spawns workers even on a 1-core host). A
+        // lock-order bug parks every worker; the bounded wait turns that
+        // hang into a named failure instead of a stalled suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            for round in 0..3000u64 {
+                let threads = if round % 2 == 0 { 2 } else { 4 };
+                let n = 8 + (round as usize * 7) % 57;
+                let out = run_batch(threads, round, n, |i| i);
+                assert_eq!(out, (0..n).collect::<Vec<_>>());
+            }
+            tx.send(()).expect("receiver alive");
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("run_batch stress loop hung or panicked");
+        stress.join().expect("stress thread finished cleanly");
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! primary specifications:
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (validated against NIST vectors).
+//!   On x86_64 the block compression runs on the SHA extensions
+//!   (`sha256rnds2`, `sha256msg1`, `sha256msg2`, "SHA-NI") when
+//!   `is_x86_feature_detected!` finds them at run time; every other CPU
+//!   and architecture uses the portable implementation. The choice is
+//!   automatic, with no configuration, and both kernels produce identical
+//!   digests (tested against each other and the NIST vectors). The crate
+//!   denies `unsafe_code` everywhere except the SHA-NI module.
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 (validated against RFC 4231 vectors).
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group.
@@ -21,6 +28,8 @@
 //! architecture's behaviour depends on the *API contract* of signatures
 //! (unforgeability within the simulation, key identity, tamper evidence),
 //! not on production-grade key sizes.
+
+#![deny(unsafe_code)]
 
 pub mod chacha20;
 pub mod hex;

@@ -1,8 +1,16 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
+//!
+//! Block compression runs on the x86 SHA extensions when run-time
+//! detection finds them (see `shani`), and on a portable implementation
+//! otherwise; both produce identical digests.
 
 use std::fmt;
 
 use crate::hex;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani;
 
 /// A 256-bit digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,64 +133,82 @@ impl Sha256 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut input = data;
-        if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        self.absorb(data, compress_blocks);
     }
 
     /// Completes the hash and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+    pub fn finalize(self) -> Digest {
+        self.finish(compress_blocks)
+    }
+
+    #[inline]
+    fn absorb(&mut self, data: &[u8], compress: Compress) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut input = data;
+        if self.buffer_len > 0 {
+            let take = (64 - self.buffer_len).min(input.len());
+            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
+            self.buffer_len += take;
+            input = &input[take..];
+            if self.buffer_len < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        // The length update above must not count toward the message length,
-        // but `update` already advanced `total_len`; we captured it first.
-        let mut block_tail = [0u8; 8];
-        block_tail.copy_from_slice(&bit_len.to_be_bytes());
-        // Write length directly into the buffer and compress.
-        self.buffer[56..64].copy_from_slice(&block_tail);
-        let block = self.buffer;
-        self.compress(&block);
+        let whole = input.len() - input.len() % 64;
+        if whole > 0 {
+            compress(&mut self.state, &input[..whole]);
+        }
+        let rest = &input[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
+    }
+
+    #[inline]
+    fn finish(mut self, compress: Compress) -> Digest {
+        // Padding: 0x80, zeros up to 56 bytes into a block, then the
+        // 64-bit big-endian message length in bits.
+        let bit_len = self.total_len.wrapping_mul(8);
+        let mut at = self.buffer_len;
+        self.buffer[at] = 0x80;
+        at += 1;
+        if at > 56 {
+            self.buffer[at..].fill(0);
+            compress(&mut self.state, &self.buffer);
+            at = 0;
+        }
+        self.buffer[at..56].fill(0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// A compression function over a whole number of 64-byte blocks.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// Compresses `blocks` (a multiple of 64 bytes) into `state` with the
+/// fastest kernel this CPU supports: SHA-NI when run-time detection finds
+/// it, the portable implementation otherwise.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable FIPS 180-4 compression, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -192,7 +218,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -213,14 +239,9 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -234,51 +255,151 @@ pub fn sha256(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
+
+    /// Hashes `data`, fed in `chunk`-byte updates, through `compress`.
+    fn digest_with(compress: Compress, data: &[u8], chunk: usize) -> Digest {
+        let mut h = Sha256::new();
+        for part in data.chunks(chunk) {
+            h.absorb(part, compress);
+        }
+        h.finish(compress)
+    }
+
+    /// Both compression paths, named. Without SHA-NI the hardware arm is
+    /// dropped and `test` says so on stderr, which the test harness does
+    /// not capture, so a skipped arm never passes silently.
+    fn kernels(test: &str) -> Vec<(&'static str, Compress)> {
+        let mut out: Vec<(&'static str, Compress)> = vec![("portable", compress_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if shani::detected() {
+            out.push(("sha-ni", |state, blocks| {
+                assert!(shani::compress(state, blocks), "SHA-NI vanished");
+            }));
+        }
+        if out.len() == 1 {
+            writeln!(
+                std::io::stderr(),
+                "{test}: no SHA-NI on this CPU, hardware kernel NOT exercised"
+            )
+            .ok();
+        }
+        out
+    }
+
+    /// Deterministic test bytes (SplitMix64 stream).
+    fn bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    /// Checks a known-answer vector through the public entry point and
+    /// through each kernel.
+    fn assert_vector(test: &str, msg: &[u8], want: &str) {
+        assert_eq!(sha256(msg).to_hex(), want, "sha256()");
+        for (name, compress) in kernels(test) {
+            let got = digest_with(compress, msg, msg.len().max(1));
+            assert_eq!(got.to_hex(), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_every_short_length() {
+        let data = bytes(1, 300);
+        let kernels = kernels("kernels_agree_on_every_short_length");
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let want = digest_with(compress_portable, msg, len.max(1));
+            for &(name, compress) in &kernels {
+                assert_eq!(
+                    digest_with(compress, msg, len.max(1)),
+                    want,
+                    "{name}, {len} B"
+                );
+            }
+            assert_eq!(sha256(msg), want, "dispatching entry point, {len} B");
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_seeded_random_lengths() {
+        let kernels = kernels("kernels_agree_on_seeded_random_lengths");
+        let lengths = bytes(7, 96);
+        for (i, pair) in lengths.chunks_exact(2).enumerate() {
+            let len = usize::from(u16::from_le_bytes([pair[0], pair[1]])) % (16 * 1024 + 1);
+            let msg = bytes(100 + i as u64, len);
+            let want = digest_with(compress_portable, &msg, len.max(1));
+            for &(name, compress) in &kernels {
+                assert_eq!(
+                    digest_with(compress, &msg, len.max(1)),
+                    want,
+                    "{name}, {len} B"
+                );
+            }
+        }
+    }
 
     // NIST / well-known vectors.
     #[test]
     fn empty_string_vector() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            "empty_string_vector",
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            "abc_vector",
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            "two_block_vector",
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            "million_a_vector",
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
     #[test]
     fn incremental_equals_one_shot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let one_shot = sha256(&data);
-        for chunk_size in [1usize, 3, 63, 64, 65, 127, 500] {
-            let mut h = Sha256::new();
-            for chunk in data.chunks(chunk_size) {
-                h.update(chunk);
+        // Message lengths and update sizes straddle the 55/56-byte padding
+        // edge and the 64-byte block edge, on both kernels.
+        for (name, compress) in kernels("incremental_equals_one_shot") {
+            for len in [0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 1000] {
+                let data = bytes(len as u64, len);
+                let one_shot = sha256(&data);
+                for chunk in [1, 3, 55, 56, 63, 64, 65, 127, 500] {
+                    assert_eq!(
+                        digest_with(compress, &data, chunk),
+                        one_shot,
+                        "{name}, {len} B in {chunk}-byte updates"
+                    );
+                }
             }
-            assert_eq!(h.finalize(), one_shot, "chunk size {chunk_size}");
         }
     }
 

@@ -507,6 +507,12 @@ impl PageStore {
     /// # Errors
     /// Propagates file write failures.
     pub fn append(&mut self, bytes: &[u8]) -> io::Result<PageRef> {
+        self.append_with_digest(bytes, page_digest(bytes))
+    }
+
+    /// Appends `bytes` under a `digest` the caller already holds for them
+    /// (compaction re-appends pages it has just verified).
+    fn append_with_digest(&mut self, bytes: &[u8], digest: Digest) -> io::Result<PageRef> {
         let len = u32::try_from(bytes.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "page exceeds u32 length"))?;
         let offset = self.tail;
@@ -526,7 +532,7 @@ impl PageStore {
         Ok(PageRef {
             offset,
             len,
-            digest: page_digest(bytes),
+            digest,
         })
     }
 
@@ -602,9 +608,11 @@ impl PageStore {
         self.live_bytes = 0;
         self.dead_bytes = 0;
         self.compactions += 1;
+        // `read` verified each blob against its handle's digest, so the
+        // rewrite carries that digest over instead of hashing again.
         let mut refs = Vec::with_capacity(blobs.len());
-        for blob in &blobs {
-            refs.push(self.append(blob)?);
+        for (blob, page) in blobs.iter().zip(live) {
+            refs.push(self.append_with_digest(blob, page.digest)?);
         }
         self.appended -= blobs.len() as u64; // rewrites are not fresh spills
         Ok(refs)
@@ -1211,6 +1219,72 @@ mod tests {
         let mut second = first.fresh_like().expect("fresh");
         assert!(second.read(&r).is_err(), "fresh store starts empty");
         assert_eq!(second.live_bytes(), 0);
+    }
+
+    /// Flips one byte of `page`'s stored bytes in place, bypassing the API.
+    fn flip_stored_byte(store: &mut PageStore, page: &PageRef) {
+        let phys = page.offset - store.phys_base;
+        match &mut store.backend {
+            PageBackend::Mem(buf) => buf[phys as usize] ^= 0x01,
+            PageBackend::File { file, .. } => {
+                let mut byte = [0u8; 1];
+                file.seek(SeekFrom::Start(phys)).expect("seek");
+                file.read_exact(&mut byte).expect("read byte");
+                byte[0] ^= 0x01;
+                file.seek(SeekFrom::Start(phys)).expect("seek");
+                file.write_all(&byte).expect("write byte");
+            }
+        }
+    }
+
+    fn compaction_keeps_digests_and_checks(mut store: PageStore) {
+        let pages: Vec<Vec<u8>> = (1..=5).map(sample_page).collect();
+        let refs: Vec<PageRef> = pages
+            .iter()
+            .map(|p| store.append(p).expect("append"))
+            .collect();
+        store.retire(&refs[0]);
+        store.retire(&refs[3]);
+        let live = [refs[1], refs[2], refs[4]];
+        let moved = store.compact(&live).expect("compact");
+        assert_eq!(moved.len(), live.len());
+        for ((old, new), bytes) in live
+            .iter()
+            .zip(&moved)
+            .zip([&pages[1], &pages[2], &pages[4]])
+        {
+            assert_ne!(new.offset, old.offset, "compaction moves the page");
+            assert_eq!(new.len, old.len);
+            assert_eq!(new.digest, old.digest, "the verified digest carries over");
+            assert_eq!(new.digest, page_digest(bytes));
+            assert_eq!(&store.read(new).expect("verified read"), bytes);
+        }
+        // Reusing the digest dropped no check: a flipped byte in a
+        // compacted page still fails verification on the next read.
+        flip_stored_byte(&mut store, &moved[1]);
+        assert!(matches!(
+            store.read(&moved[1]),
+            Err(PageStoreError::Corrupt { offset }) if offset == moved[1].offset
+        ));
+        assert_eq!(store.read(&moved[0]).expect("neighbour intact"), pages[1]);
+        assert_eq!(store.read(&moved[2]).expect("neighbour intact"), pages[4]);
+        // Compacting over the corrupt page refuses and leaves it in place.
+        assert!(matches!(
+            store.compact(&moved),
+            Err(PageStoreError::Corrupt { .. })
+        ));
+        assert_eq!(store.read(&moved[0]).expect("store unchanged"), pages[1]);
+    }
+
+    #[test]
+    fn mem_compaction_reuses_verified_digests() {
+        compaction_keeps_digests_and_checks(PageStore::in_memory());
+    }
+
+    #[test]
+    fn file_compaction_reuses_verified_digests() {
+        let dir = std::env::temp_dir().join(format!("duc-pagecompact-{}", std::process::id()));
+        compaction_keeps_digests_and_checks(PageStore::in_dir(&dir).expect("open"));
     }
 
     #[test]
