@@ -40,7 +40,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("e14", experiments::e14_deadline_enforcement),
     ("e15", experiments::e15_population),
     ("e16", experiments::e16_storage),
-    ("e17", experiments::e17_parallel_exec),
     ("e18", experiments::e18_runtime),
     ("e19", experiments::e19_paged_state),
 ];
@@ -120,9 +119,6 @@ fn json_document(cache: &mut [Option<Vec<Table>>]) -> String {
             }
             if rows.is_empty() {
                 rows = storage_rows(table);
-            }
-            if rows.is_empty() {
-                rows = exec_rows(table);
             }
             if rows.is_empty() {
                 rows = runtime_rows(table);
@@ -313,42 +309,6 @@ fn storage_rows(table: &Table) -> String {
                 if i + 1 < table.rows().len() || j == 0 { "," } else { "" },
             ));
         }
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the execution-mode comparison (an `exec mode` plus a `speedup`
-/// column, e.g. E17): one JSON record per row, so BENCH_*.json tracks
-/// serial vs parallel block-seal time across PRs. Empty for every other
-/// table.
-fn exec_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(mode), Some(_)) = (col("exec mode"), col("speedup")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"exec_modes\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"exec_mode\": {}, \"threads\": {}, \"block_ms\": {}, \"txs_per_s\": {}, \"speedup\": {}}}{}\n",
-            json_string(row.get(mode).map_or("", String::as_str)),
-            numeric(row, col("threads")),
-            numeric(row, col("block ms")),
-            numeric(row, col("txs/s")),
-            numeric(row, col("speedup")),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
     }
     out.push_str("        ]");
     out

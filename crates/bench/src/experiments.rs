@@ -1646,144 +1646,6 @@ fn e16_storage_at(owners: usize, wave_sweep: &[usize], interval: u64, window: u6
     vec![table]
 }
 
-// --------------------------------------------------------------------- E17
-
-/// Builds the E17 chain: DistExchange deployed with its access-set
-/// derivation installed and one pending `register_pod` per sender.
-/// Disjoint owners anchor disjoint storage slots, so the whole batch is
-/// conflict-free and the parallel executor can run it in one level.
-fn e17_chain(
-    mode: duc_blockchain::ExecMode,
-    threads: usize,
-    senders: usize,
-) -> duc_blockchain::Blockchain {
-    use duc_blockchain::{Blockchain, ContractId};
-    let mut chain = Blockchain::builder()
-        .validators(3)
-        .block_interval(SimDuration::from_secs(2))
-        // High enough that the whole batch seals in one block (a ceiling
-        // skip would drop the parallel planner back to serial).
-        .max_block_gas(10_000_000_000)
-        .exec_mode(mode)
-        .exec_threads(threads)
-        .build();
-    chain.deploy(
-        ContractId::new(duc_contracts::DEX_CONTRACT_ID),
-        Box::new(duc_contracts::DistExchange::default()),
-    );
-    chain.set_access_fn(duc_contracts::dex_access_fn());
-    let dex = duc_contracts::DistExchangeClient::new();
-    for s in 0..senders {
-        let key = chain.create_funded_account(format!("e17-sender-{s}").as_bytes(), 1_000_000_000);
-        let webid = format!("https://owner{s}.id/me");
-        let pod_root = format!("https://owner{s}.pod/");
-        let policy = UsagePolicy::builder(format!("{webid}#default"), pod_root.clone(), &webid)
-            .permit(Rule::permit([Action::Use]))
-            .build();
-        let tx = dex.register_pod_tx(
-            &chain,
-            &key,
-            &webid,
-            &pod_root,
-            duc_contracts::PolicyEnvelope::plain(&policy),
-        );
-        chain.submit(tx).expect("pod registration is valid");
-    }
-    chain
-}
-
-/// Seals the E17 batch `rounds` times under one execution mode, returning
-/// the best wall-clock block time and the (replay-asserted) block
-/// fingerprint.
-fn e17_block_time(
-    mode: duc_blockchain::ExecMode,
-    threads: usize,
-    senders: usize,
-    rounds: usize,
-) -> (std::time::Duration, String) {
-    let mut best = std::time::Duration::MAX;
-    let mut fingerprint: Option<String> = None;
-    for _ in 0..rounds {
-        let mut chain = e17_chain(mode, threads, senders);
-        let wall0 = std::time::Instant::now();
-        chain.advance_to(duc_sim::SimTime::from_secs(2));
-        best = best.min(wall0.elapsed());
-        assert_eq!(chain.height(), 1, "the batch seals in one block");
-        let block = chain.block(1).expect("sealed");
-        assert_eq!(block.transactions.len(), senders, "every tx included");
-        for tx in &block.transactions {
-            assert!(
-                chain.receipt(&tx.id()).expect("receipt").status.is_ok(),
-                "every registration succeeds"
-            );
-        }
-        let fp = format!("{:?}", block.hash());
-        if let Some(prev) = &fingerprint {
-            assert_eq!(prev, &fp, "identically-seeded blocks replay");
-        }
-        fingerprint = Some(fp);
-    }
-    (best, fingerprint.expect("at least one round"))
-}
-
-/// E17 — parallel intra-shard block execution: the same conflict-free
-/// 256-sender `register_pod` batch sealed serially and through the
-/// access-set-scheduled parallel executor. The block fingerprints must be
-/// byte-identical; on hosts with ≥4 cores the parallel seal must be at
-/// least 1.5× faster.
-pub fn e17_parallel_exec() -> Vec<Table> {
-    use duc_blockchain::ExecMode;
-    let senders = 256;
-    let rounds = 3;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let mut table = Table::new(
-        format!(
-            "E17 · parallel intra-shard execution — conflict-free register_pod batch \
-             ({senders} senders, best of {rounds})"
-        ),
-        &[
-            "exec mode",
-            "threads",
-            "txs",
-            "block ms",
-            "txs/s",
-            "speedup",
-        ],
-    );
-    let (serial, serial_fp) = e17_block_time(ExecMode::Serial, 1, senders, rounds);
-    let (parallel, parallel_fp) = e17_block_time(ExecMode::Parallel, threads, senders, rounds);
-    assert_eq!(
-        serial_fp, parallel_fp,
-        "E17 gate: the parallel block must be byte-identical to the serial one"
-    );
-    let speedup = serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
-    // The speedup gate only binds where the host has real parallelism;
-    // byte-identity above is asserted unconditionally.
-    if threads >= 4 {
-        assert!(
-            speedup >= 1.5,
-            "E17 gate: {threads} threads must seal the conflict-free batch ≥1.5× faster \
-             (serial {serial:?}, parallel {parallel:?})"
-        );
-    }
-    let row = |mode: &str, threads: usize, wall: std::time::Duration, speedup: f64| {
-        vec![
-            mode.into(),
-            threads.to_string(),
-            senders.to_string(),
-            format!("{:.2}", wall.as_secs_f64() * 1e3),
-            format!("{:.0}", senders as f64 / wall.as_secs_f64().max(1e-9)),
-            format!("{speedup:.2}"),
-        ]
-    };
-    table.row(row("serial", 1, serial, 1.0));
-    table.row(row("parallel", threads, parallel, speedup));
-    vec![table]
-}
-
 // ---------------------------------------------------------------------- E18
 
 /// Scrapes `GET /metrics` from a live endpoint with a raw `TcpStream`
@@ -2150,7 +2012,6 @@ pub fn all() -> Vec<Table> {
     tables.extend(e14_deadline_enforcement());
     tables.extend(e15_population());
     tables.extend(e16_storage());
-    tables.extend(e17_parallel_exec());
     tables.extend(e18_runtime());
     tables.extend(e19_paged_state());
     tables
@@ -2348,19 +2209,6 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows().len(), 5, "one row per cache config");
         assert_eq!(tables[1].rows().len(), 2, "paged and unpaged rows");
-    }
-
-    #[test]
-    fn e17_parallel_block_smoke_run_matches_serial() {
-        // Small-n replica of the E17 harness (the full batch and its
-        // ≥1.5× speedup gate run through the report binary): a modest
-        // conflict-free batch must seal identically under both executors.
-        let (_, serial_fp) = e17_block_time(duc_blockchain::ExecMode::Serial, 1, 16, 1);
-        let (_, parallel_fp) = e17_block_time(duc_blockchain::ExecMode::Parallel, 4, 16, 1);
-        assert_eq!(
-            serial_fp, parallel_fp,
-            "parallel block diverged from serial"
-        );
     }
 
     #[test]

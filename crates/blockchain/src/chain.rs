@@ -15,10 +15,9 @@ use duc_sim::{SimDuration, SimTime};
 use duc_storage::{BlockStore, Checkpoint, FileArchive, PrunedRange, StateStore, StorageConfig};
 
 use crate::block::{Block, BlockValidationError};
-use crate::contract::{CallCtx, CallEffects, Contract, ContractError, Event};
-use crate::exec::{self, AccessFn, AccessParams, AccessSet, ExecMode};
+use crate::contract::{CallCtx, Contract, ContractError, Event};
 use crate::gas::{GasMeter, GasSchedule};
-use crate::state::{InsufficientFunds, PagingStats, WorldState};
+use crate::state::{PagingStats, WorldState};
 use crate::tx::{Receipt, SignedTransaction, Transaction, TxKind, TxStatus};
 use crate::types::{Address, Amount, ContractId, TxId};
 
@@ -93,8 +92,6 @@ pub struct BlockchainBuilder {
     gas_price: Amount,
     mempool_capacity: usize,
     storage: StorageConfig,
-    exec_mode: ExecMode,
-    exec_threads: usize,
 }
 
 impl Default for BlockchainBuilder {
@@ -107,11 +104,6 @@ impl Default for BlockchainBuilder {
             gas_price: 1,
             mempool_capacity: 10_000,
             storage: StorageConfig::disabled(),
-            // Every construction path inherits `DUC_EXEC_MODE` /
-            // `DUC_EXEC_THREADS` unless explicitly overridden, which is how
-            // the CI matrix flips the whole stack between executors.
-            exec_mode: ExecMode::from_env(),
-            exec_threads: exec::threads_from_env(),
         }
     }
 }
@@ -161,20 +153,6 @@ impl BlockchainBuilder {
         self
     }
 
-    /// Intra-block execution mode (defaults to `DUC_EXEC_MODE`, serial
-    /// when unset).
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// Worker-thread count for [`ExecMode::Parallel`] (defaults to
-    /// `DUC_EXEC_THREADS` / available parallelism).
-    pub fn exec_threads(mut self, threads: usize) -> Self {
-        self.exec_threads = threads.max(1);
-        self
-    }
-
     /// Builds the chain (genesis at t = 0).
     ///
     /// # Panics
@@ -211,9 +189,6 @@ impl BlockchainBuilder {
             gas_ledger: Vec::new(),
             labels: Interner::new(),
             slots_missed: 0,
-            exec_mode: self.exec_mode,
-            exec_threads: self.exec_threads,
-            access_fn: None,
         }
     }
 }
@@ -248,14 +223,6 @@ pub struct Blockchain {
     /// per distinct label instead of cloned per record.
     labels: Interner,
     slots_missed: u64,
-    /// How blocks apply their transactions (serial or conflict-scheduled
-    /// parallel batches — outputs are byte-identical either way).
-    exec_mode: ExecMode,
-    /// Worker threads for the parallel executor.
-    exec_threads: usize,
-    /// Access-set derivation for the parallel executor; absent → every
-    /// call is [`AccessSet::Exclusive`] and blocks effectively serialize.
-    access_fn: Option<AccessFn>,
 }
 
 impl std::fmt::Debug for Blockchain {
@@ -305,32 +272,6 @@ impl Blockchain {
     /// Deploys a contract at genesis (before or between blocks).
     pub fn deploy(&mut self, id: ContractId, contract: Box<dyn Contract>) {
         self.contracts.insert(id, contract);
-    }
-
-    /// Installs the access-set derivation the parallel executor partitions
-    /// on. Without one, every call conflicts with everything.
-    pub fn set_access_fn(&mut self, f: AccessFn) {
-        self.access_fn = Some(f);
-    }
-
-    /// Switches the intra-block execution mode.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The intra-block execution mode in force.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Sets the parallel executor's worker-thread count.
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
-    }
-
-    /// The parallel executor's worker-thread count.
-    pub fn exec_threads(&self) -> usize {
-        self.exec_threads
     }
 
     /// Whether a contract is deployed.
@@ -482,10 +423,7 @@ impl Blockchain {
 
     fn produce_block(&mut self, timestamp: SimTime, proposer_idx: usize) {
         let height = self.blocks.height() + 1;
-        let included = match self.exec_mode {
-            ExecMode::Serial => self.fill_block_serial(height, timestamp, proposer_idx),
-            ExecMode::Parallel => self.fill_block_parallel(height, timestamp, proposer_idx),
-        };
+        let included = self.fill_block(height, timestamp, proposer_idx);
         self.evict_superseded(height);
         let parent = self
             .blocks
@@ -504,11 +442,10 @@ impl Blockchain {
         self.maybe_checkpoint(height);
     }
 
-    /// The serial block body: executable transactions in canonical
-    /// (sorted mempool key) order, respecting per-account nonce sequencing
-    /// and the block gas ceiling. This is the reference semantics the
-    /// parallel executor must reproduce byte-for-byte.
-    fn fill_block_serial(
+    /// The block body: executable transactions in canonical (sorted
+    /// mempool key) order, respecting per-account nonce sequencing and the
+    /// block gas ceiling.
+    fn fill_block(
         &mut self,
         height: u64,
         timestamp: SimTime,
@@ -549,244 +486,6 @@ impl Blockchain {
             included.push(tx);
         }
         included
-    }
-
-    /// The parallel block body: plans the same transaction set the serial
-    /// executor would pick, partitions it into conflict-free levels on the
-    /// derived access sets, executes each level purely (no state writes) on
-    /// the work-stealing pool, then commits and emits in canonical order —
-    /// receipts, events, gas records and replay fingerprints are
-    /// byte-identical to [`Blockchain::fill_block_serial`].
-    fn fill_block_parallel(
-        &mut self,
-        height: u64,
-        timestamp: SimTime,
-        proposer_idx: usize,
-    ) -> Vec<SignedTransaction> {
-        // ---- plan: replicate serial selection with projected nonces (the
-        // serial loop observes each executed tx's nonce bump before
-        // selecting the next; project those bumps without executing).
-        let mut projected: HashMap<Address, u64> = HashMap::new();
-        let mut plan_keys: Vec<(Address, u64)> = Vec::new();
-        let mut block_gas: u64 = 0;
-        let mut ceiling_hit = false;
-        for (key, tx) in &self.mempool {
-            let expected = *projected
-                .entry(key.0)
-                .or_insert_with(|| self.state.nonce(&key.0));
-            if key.1 != expected {
-                continue;
-            }
-            if block_gas.saturating_add(tx.tx.gas_limit) > self.max_block_gas {
-                // Serial reserves ceiling gas only for transactions it
-                // actually executes; a fee failure upstream could shift
-                // which ones fit. Rare and cheap: fall back to serial.
-                ceiling_hit = true;
-                continue;
-            }
-            block_gas += tx.tx.gas_limit;
-            projected.insert(key.0, key.1 + 1);
-            plan_keys.push(*key);
-        }
-        if ceiling_hit || plan_keys.len() < 2 {
-            return self.fill_block_serial(height, timestamp, proposer_idx);
-        }
-
-        let plan: Vec<SignedTransaction> = plan_keys
-            .iter()
-            .map(|key| self.mempool.remove(key).expect("planned key from mempool"))
-            .collect();
-
-        // ---- derive access sets and level the conflict graph
-        let validator_addrs: HashSet<Address> = self
-            .validators
-            .iter()
-            .map(|k| Address::from_public_key(&k.public()))
-            .collect();
-        let sets: Vec<AccessSet> = plan
-            .iter()
-            .map(|tx| {
-                // A validator-sender could observe its own mid-block
-                // proposer fee credits through its balance; serialize it.
-                let base = if validator_addrs.contains(&tx.tx.from) {
-                    AccessSet::Exclusive
-                } else {
-                    match (&tx.tx.kind, &self.access_fn) {
-                        (
-                            TxKind::Call {
-                                contract,
-                                method,
-                                args,
-                            },
-                            Some(derive),
-                        ) => derive(&AccessParams {
-                            contract,
-                            method,
-                            args,
-                            caller: tx.tx.from,
-                            block_height: height,
-                            block_time: timestamp,
-                            state: &self.state,
-                        }),
-                        _ => AccessSet::Exclusive,
-                    }
-                };
-                base.with_sender(tx.tx.from)
-            })
-            .collect();
-        let levels = exec::schedule_levels(&sets);
-        let max_level = levels.iter().copied().max().unwrap_or(0);
-
-        // ---- execute level by level, committing state in canonical order
-        let mut committed: Vec<Option<CommittedTx>> = (0..plan.len()).map(|_| None).collect();
-        let mut deferred = vec![false; plan.len()];
-        for level in 0..=max_level {
-            let mut runnable: Vec<usize> = Vec::new();
-            for i in 0..plan.len() {
-                if levels[i] != level {
-                    continue;
-                }
-                // A fee-failed predecessor left the sender's nonce
-                // unbumped: this tx can no longer execute in this block
-                // (serial would never have selected it).
-                if self.state.nonce(&plan[i].tx.from) != plan[i].tx.nonce {
-                    deferred[i] = true;
-                } else {
-                    runnable.push(i);
-                }
-            }
-            if runnable.is_empty() {
-                continue;
-            }
-            let seed = height
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(u64::from(level));
-            let outcomes = {
-                let state = &self.state;
-                let contracts = &self.contracts;
-                let schedule = &self.gas_schedule;
-                let gas_price = self.gas_price;
-                let txs: Vec<&SignedTransaction> = runnable.iter().map(|&i| &plan[i]).collect();
-                exec::run_batch(self.exec_threads, seed, txs.len(), |j| {
-                    run_tx_pure(
-                        state, contracts, schedule, gas_price, txs[j], height, timestamp,
-                    )
-                })
-            };
-            let proposer_addr = Address::from_public_key(&self.validators[proposer_idx].public());
-            for (&i, outcome) in runnable.iter().zip(outcomes) {
-                committed[i] = Some(self.commit_outcome(&plan[i], outcome, proposer_addr));
-            }
-        }
-
-        // ---- emit in canonical order: intern labels, push gas records,
-        // events and receipts exactly as the serial loop would have.
-        let mut included = Vec::with_capacity(plan.len());
-        for (i, tx) in plan.into_iter().enumerate() {
-            if deferred[i] {
-                // Never executed; back to the mempool without a receipt.
-                // Its sender's nonce did not advance, so eviction leaves
-                // it pending — exactly the serial outcome.
-                self.mempool.insert((tx.tx.from, tx.tx.nonce), tx);
-                continue;
-            }
-            let done = committed[i].take().expect("scheduled tx executed");
-            if let Some(label) = done.label {
-                let (contract_label, method_label) = match &label {
-                    ExecLabel::Intrinsic => (None, self.labels.intern("intrinsic")),
-                    ExecLabel::Transfer => (None, self.labels.intern("transfer")),
-                    ExecLabel::Call { contract, method } => {
-                        // Same interning order as serial: method first.
-                        let m = self.labels.intern(method);
-                        let c = self.labels.intern(contract.as_str());
-                        (Some(c), m)
-                    }
-                };
-                self.gas_ledger.push(GasRecord {
-                    contract: contract_label,
-                    method: method_label,
-                    gas_used: done.gas_used,
-                    ok: done.status.is_ok(),
-                    height,
-                });
-            }
-            let events: Vec<Rc<Event>> = done.events.into_iter().map(Rc::new).collect();
-            for ev in &events {
-                self.event_log.push((height, Rc::clone(ev)));
-            }
-            let receipt = Receipt {
-                tx_id: tx.id(),
-                block_height: height,
-                status: done.status,
-                gas_used: done.gas_used,
-                events,
-                return_data: done.return_data,
-            };
-            self.receipts.insert(receipt.tx_id, receipt);
-            included.push(tx);
-        }
-        included
-    }
-
-    /// Applies one pure execution outcome to the canonical state — fee
-    /// debit, nonce bump, buffered effects, refund, proposer credit, the
-    /// exact mutation sequence of [`Blockchain::execute`] — and returns
-    /// what the emission pass needs.
-    fn commit_outcome(
-        &mut self,
-        signed: &SignedTransaction,
-        outcome: PureExec,
-        proposer_addr: Address,
-    ) -> CommittedTx {
-        let PureExec::Ran {
-            status,
-            effects,
-            transfer,
-            return_data,
-            gas_used,
-            label,
-        } = outcome
-        else {
-            // Fee failure: serial returns early without touching state or
-            // the gas ledger.
-            return CommittedTx {
-                status: TxStatus::Reverted("cannot pay gas".into()),
-                gas_used: 0,
-                label: None,
-                events: Vec::new(),
-                return_data: Vec::new(),
-            };
-        };
-        let from = signed.tx.from;
-        let gas_limit = signed.tx.gas_limit;
-        let max_fee = (gas_limit as Amount)
-            .checked_mul(self.gas_price)
-            .expect("an overflowing fee is a fee failure");
-        self.state
-            .debit(&from, max_fee)
-            .expect("pure phase checked fee affordability against this state");
-        self.state.bump_nonce(&from);
-        let mut events = Vec::new();
-        if let Some(effects) = effects {
-            events = effects.apply(&mut self.state);
-        }
-        if let Some((to, amount)) = transfer {
-            self.state
-                .debit(&from, amount)
-                .expect("pure phase checked transfer affordability");
-            self.state.credit(to, amount);
-        }
-        let refund = (gas_limit - gas_used) as Amount * self.gas_price;
-        self.state.credit(from, refund);
-        self.state
-            .credit(proposer_addr, gas_used as Amount * self.gas_price);
-        CommittedTx {
-            status,
-            gas_used,
-            label: Some(label),
-            events,
-            return_data,
-        }
     }
 
     /// Evicts mempool transactions whose nonce a sealed block made stale,
@@ -1305,7 +1004,7 @@ impl Blockchain {
     }
 }
 
-/// The serial executor's early-return receipt for a sender that cannot
+/// The early-return receipt for a sender that cannot
 /// cover the maximum fee (also the overflow case: an overflowing fee is
 /// unpayable by definition).
 fn fee_failure_receipt(tx_id: TxId, height: u64) -> Receipt {
@@ -1319,180 +1018,9 @@ fn fee_failure_receipt(tx_id: TxId, height: u64) -> Receipt {
     }
 }
 
-/// What one transaction's gas-ledger row is labelled with. Labels are
-/// interned during the canonical emission pass, preserving serial's
-/// interner insertion order.
-enum ExecLabel {
-    /// Intrinsic gas exhausted before dispatch.
-    Intrinsic,
-    /// A native transfer.
-    Transfer,
-    /// A contract call (including "no such contract").
-    Call {
-        /// Target contract.
-        contract: ContractId,
-        /// Method name.
-        method: String,
-    },
-}
-
-/// One transaction's pure execution outcome: everything
-/// [`Blockchain::execute`] decides, with the state mutations still
-/// buffered. One short-lived value per executed transaction, consumed
-/// immediately by the commit pass — boxing the `Ran` payload would add
-/// an allocation per transaction for no retained-memory win.
-#[allow(clippy::large_enum_variant)]
-enum PureExec {
-    /// The sender cannot cover the maximum fee (or it overflows): no nonce
-    /// bump, no gas record, a "cannot pay gas" receipt.
-    FeeFail,
-    /// Executed; commit applies fee, nonce, effects and refunds.
-    Ran {
-        status: TxStatus,
-        effects: Option<CallEffects>,
-        transfer: Option<(Address, Amount)>,
-        return_data: Vec<u8>,
-        gas_used: u64,
-        label: ExecLabel,
-    },
-}
-
-/// A committed transaction, ready for the canonical emission pass.
-struct CommittedTx {
-    status: TxStatus,
-    gas_used: u64,
-    /// `None` for fee failures: serial pushes no gas record for them.
-    label: Option<ExecLabel>,
-    events: Vec<Event>,
-    return_data: Vec<u8>,
-}
-
-/// The final gas charge: the meter never exceeds its limit, but the
-/// `tx_base` floor can when `gas_limit < tx_base` — clamp so the refund
-/// cannot underflow.
-fn clamped_gas(meter: &GasMeter, schedule: &GasSchedule, gas_limit: u64) -> u64 {
-    meter.used().max(schedule.tx_base).min(gas_limit)
-}
-
-/// Executes one transaction against an immutable state snapshot, buffering
-/// every would-be mutation. Mirrors [`Blockchain::execute`]
-/// decision-for-decision; safe to run concurrently for transactions whose
-/// access sets do not conflict, because nothing such a transaction could
-/// observe is mutated before its level commits.
-fn run_tx_pure(
-    state: &WorldState,
-    contracts: &HashMap<ContractId, Box<dyn Contract>>,
-    schedule: &GasSchedule,
-    gas_price: Amount,
-    signed: &SignedTransaction,
-    height: u64,
-    timestamp: SimTime,
-) -> PureExec {
-    let from = signed.tx.from;
-    let gas_limit = signed.tx.gas_limit;
-    let Some(max_fee) = (gas_limit as Amount).checked_mul(gas_price) else {
-        return PureExec::FeeFail;
-    };
-    if state.balance(&from) < max_fee {
-        return PureExec::FeeFail;
-    }
-    let mut meter = GasMeter::new(gas_limit, schedule.clone());
-    let intrinsic = schedule.tx_base.saturating_add(
-        schedule
-            .payload_byte
-            .saturating_mul(signed.encoded_size() as u64),
-    );
-    if meter.charge(intrinsic).is_err() {
-        return PureExec::Ran {
-            status: TxStatus::OutOfGas,
-            effects: None,
-            transfer: None,
-            return_data: Vec::new(),
-            gas_used: clamped_gas(&meter, schedule, gas_limit),
-            label: ExecLabel::Intrinsic,
-        };
-    }
-    let (status, effects, transfer, return_data, label) = match &signed.tx.kind {
-        TxKind::Transfer { to, amount } => {
-            // Serial debits the fee reservation before the transfer; the
-            // available balance (and the revert message) reflect it.
-            let available = state.balance(&from) - max_fee;
-            if available < *amount {
-                let err = InsufficientFunds {
-                    needed: *amount,
-                    available,
-                };
-                (
-                    TxStatus::Reverted(err.to_string()),
-                    None,
-                    None,
-                    Vec::new(),
-                    ExecLabel::Transfer,
-                )
-            } else {
-                (
-                    TxStatus::Ok,
-                    None,
-                    Some((*to, *amount)),
-                    Vec::new(),
-                    ExecLabel::Transfer,
-                )
-            }
-        }
-        TxKind::Call {
-            contract,
-            method,
-            args,
-        } => {
-            let label = ExecLabel::Call {
-                contract: contract.clone(),
-                method: method.clone(),
-            };
-            match contracts.get(contract) {
-                None => (
-                    TxStatus::Reverted(format!("no contract {contract}")),
-                    None,
-                    None,
-                    Vec::new(),
-                    label,
-                ),
-                Some(code) => {
-                    // The shadow debit makes the caller's effective balance
-                    // reflect the fee reservation serial already applied.
-                    let mut ctx =
-                        CallCtx::new(from, height, timestamp, contract.clone(), state, &mut meter)
-                            .with_shadow_debit(max_fee);
-                    match code.call(&mut ctx, method, args) {
-                        Ok(ret) => (TxStatus::Ok, Some(ctx.into_effects()), None, ret, label),
-                        Err(ContractError::OutOfGas) => {
-                            (TxStatus::OutOfGas, None, None, Vec::new(), label)
-                        }
-                        Err(e) => (
-                            TxStatus::Reverted(e.to_string()),
-                            None,
-                            None,
-                            Vec::new(),
-                            label,
-                        ),
-                    }
-                }
-            }
-        }
-    };
-    PureExec::Ran {
-        status,
-        effects,
-        transfer,
-        return_data,
-        gas_used: clamped_gas(&meter, schedule, gas_limit),
-        label,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::AccessKey;
     use duc_codec::{decode_from_slice, encode_to_vec};
 
     struct Counter;
@@ -2064,56 +1592,39 @@ mod tests {
         assert_eq!(chain.pending_count(), 0);
     }
 
-    // ------------------------------------------------- parallel execution
+    // ---------------------------------------------------- mixed blocks
 
-    /// Access derivation for the [`Counter`] test contract: one slot per
-    /// deployed instance, so calls against different instances commute.
-    fn counter_access_fn() -> AccessFn {
-        Box::new(|p: &AccessParams<'_>| {
-            let slot = || AccessKey::Slot {
-                space: exec::fnv1a(b"ctr"),
-                key: exec::fnv1a(p.contract.as_str().as_bytes()),
-            };
-            match p.method {
-                "incr" | "boom" => AccessSet::declared().read(slot()).write(slot()),
-                "get" => AccessSet::declared().read(slot()),
-                _ => AccessSet::Exclusive,
-            }
-        })
-    }
-
-    /// Runs a mixed workload (disjoint calls, shared-counter conflicts,
-    /// reverts, out-of-gas, transfers, a mid-block fee failure) under the
-    /// given execution mode and returns the finished chain.
-    fn parity_workload(mode: ExecMode, with_access: bool) -> Blockchain {
+    /// A mixed workload (calls on four counters, a same-sender pair on a
+    /// shared counter, reverts, out-of-gas, transfers and a mid-block fee
+    /// failure) over three blocks. Pins each outcome and the tip hash,
+    /// which chains over every block's parent, state root and tx root.
+    #[test]
+    fn mixed_block_workload_is_pinned() {
         let mut chain = Blockchain::builder()
             .validators(3)
             .block_interval(SimDuration::from_secs(2))
             .gas_price(1)
             .max_block_gas(100_000_000)
-            .exec_mode(mode)
-            .exec_threads(4)
             .build();
         for i in 0..4 {
             chain.deploy(ContractId::new(format!("ctr-{i}")), Box::new(Counter));
-        }
-        if with_access {
-            chain.set_access_fn(counter_access_fn());
         }
         let keys: Vec<KeyPair> = (0..6)
             .map(|i| chain.create_funded_account(format!("sender-{i}").as_bytes(), 50_000_000))
             .collect();
         // A sender whose second tx passes admission against the pre-block
-        // balance but cannot pay its fee after the first lands (the
-        // fee-failure path must agree between the executors).
+        // balance but cannot pay its fee after the first lands.
         let pauper = chain.create_funded_account(b"pauper", 100_000);
+        let pauper_addr = Address::from_public_key(&pauper.public());
         let t = chain
             .build_transfer(&pauper, Address::from_seed(b"sink"), 70_000)
             .unwrap();
-        chain.submit(t).unwrap();
+        let pauper_transfer = chain.submit(t).unwrap();
         let t = chain.build_call(&pauper, ContractId::new("ctr-3"), "get", vec![], 50_000);
-        chain.submit(t).unwrap();
+        let pauper_call = chain.submit(t).unwrap();
+        let (mut pairs, mut booms, mut starved) = (Vec::new(), Vec::new(), Vec::new());
         for round in 0..3u64 {
+            let mut first_ctr0 = None;
             for (i, key) in keys.iter().enumerate() {
                 let ctr = ContractId::new(format!("ctr-{}", i % 4));
                 let tx = chain.build_call(
@@ -2123,9 +1634,12 @@ mod tests {
                     encode_to_vec(&(i as u64 + round + 1,)),
                     200_000,
                 );
-                chain.submit(tx).unwrap();
+                let id = chain.submit(tx).unwrap();
+                if i == 0 {
+                    first_ctr0 = Some(id);
+                }
             }
-            // Same-sender pair on a shared counter: must serialize.
+            // Same-sender pair on a shared counter.
             let tx = chain.build_call(
                 &keys[0],
                 ContractId::new("ctr-0"),
@@ -2133,10 +1647,10 @@ mod tests {
                 encode_to_vec(&(1u64,)),
                 200_000,
             );
-            chain.submit(tx).unwrap();
-            // A revert and an out-of-gas, mid-batch.
+            pairs.push((first_ctr0.unwrap(), chain.submit(tx).unwrap()));
+            // A revert and an out-of-gas, mid-block.
             let tx = chain.build_call(&keys[1], ContractId::new("ctr-1"), "boom", vec![], 200_000);
-            chain.submit(tx).unwrap();
+            booms.push(chain.submit(tx).unwrap());
             let tx = chain.build_call(
                 &keys[2],
                 ContractId::new("ctr-2"),
@@ -2144,55 +1658,59 @@ mod tests {
                 encode_to_vec(&(1u64,)),
                 22_000,
             );
-            chain.submit(tx).unwrap();
-            // Transfers derive no access set: always exclusive.
+            starved.push(chain.submit(tx).unwrap());
             let tx = chain
                 .build_transfer(&keys[3], Address::from_seed(b"sink"), 1_000)
                 .unwrap();
             chain.submit(tx).unwrap();
             chain.advance_to(SimTime::from_secs(2 * (round + 1)));
         }
-        chain
-    }
+        assert_eq!(chain.height(), 3);
+        assert_eq!(chain.pending_count(), 0);
 
-    /// Full-fingerprint equality: block hashes chain over parent, state
-    /// root and tx root, so matching tip hashes mean byte-identical
-    /// histories; receipts, events and gas accounting are checked on top.
-    fn assert_chains_identical(a: &Blockchain, b: &Blockchain) {
-        assert_eq!(a.height(), b.height());
-        for h in 1..=a.height() {
-            let ba = a.block(h).unwrap();
-            let bb = b.block(h).unwrap();
-            assert_eq!(ba.hash(), bb.hash(), "block {h} diverged");
-            for tx in &ba.transactions {
-                assert_eq!(
-                    format!("{:?}", a.receipt(&tx.id())),
-                    format!("{:?}", b.receipt(&tx.id())),
-                    "receipt diverged at height {h}"
-                );
-            }
-        }
+        assert!(chain.receipt(&pauper_transfer).unwrap().status.is_ok());
+        let fee_fail = chain.receipt(&pauper_call).unwrap();
+        assert_eq!(fee_fail.status, TxStatus::Reverted("cannot pay gas".into()));
+        assert_eq!(fee_fail.gas_used, 0);
         assert_eq!(
-            format!("{:?}", a.events_since(0).collect::<Vec<_>>()),
-            format!("{:?}", b.events_since(0).collect::<Vec<_>>())
+            chain.state.nonce(&pauper_addr),
+            1,
+            "fee failure bumps no nonce"
         );
-        assert_eq!(a.gas_by_method(), b.gas_by_method());
-        assert_eq!(a.pending_count(), b.pending_count());
-    }
+        let included: usize = (1..=3)
+            .map(|h| chain.block(h).unwrap().transactions.len())
+            .sum();
+        assert_eq!(
+            chain.gas_ledger().len(),
+            included - 1,
+            "every included tx but the fee failure has a gas row"
+        );
 
-    #[test]
-    fn parallel_execution_matches_serial_byte_for_byte() {
-        let serial = parity_workload(ExecMode::Serial, true);
-        let parallel = parity_workload(ExecMode::Parallel, true);
-        assert_chains_identical(&serial, &parallel);
-    }
+        for id in &booms {
+            let status = &chain.receipt(id).unwrap().status;
+            assert_eq!(*status, TxStatus::Reverted("reverted: boom".into()));
+        }
+        for id in &starved {
+            assert_eq!(chain.receipt(id).unwrap().status, TxStatus::OutOfGas);
+        }
+        for (h, (first, second)) in (1..=3).zip(&pairs) {
+            let (r1, r2) = (
+                chain.receipt(first).unwrap(),
+                chain.receipt(second).unwrap(),
+            );
+            assert!(r1.status.is_ok() && r2.status.is_ok());
+            assert_eq!((r1.block_height, r2.block_height), (h, h));
+            let order = &chain.block(h).unwrap().transactions;
+            let pos = |id: &TxId| order.iter().position(|tx| tx.id() == *id).unwrap();
+            assert!(
+                pos(first) < pos(second),
+                "same-sender pair lands in nonce order"
+            );
+        }
 
-    #[test]
-    fn parallel_without_access_fn_still_matches_serial() {
-        // No derivation installed: every tx is exclusive, levels collapse
-        // to singletons, and output must still be identical.
-        let serial = parity_workload(ExecMode::Serial, false);
-        let parallel = parity_workload(ExecMode::Parallel, false);
-        assert_chains_identical(&serial, &parallel);
+        assert_eq!(
+            chain.block(3).unwrap().hash().to_hex(),
+            "3ce88398c01d61cf0edf71e740a2cf2d81ea946857e894f743f08fe147533a48"
+        );
     }
 }

@@ -89,12 +89,6 @@ pub struct CallCtx<'a> {
     writes: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     /// Buffered native-token movements from [`CallCtx::transfer_from_caller`].
     balance_deltas: BTreeMap<Address, i128>,
-    /// A fee reservation already charged against the caller but not yet
-    /// reflected in `base`. The serial executor debits the max fee from the
-    /// canonical state before calling; the parallel executor runs against
-    /// an undebited snapshot and sets this instead, so the caller-visible
-    /// balance is identical in both modes.
-    shadow_debit: Amount,
     meter: &'a mut GasMeter,
     events: Vec<Event>,
 }
@@ -117,19 +111,9 @@ impl<'a> CallCtx<'a> {
             base: state,
             writes: BTreeMap::new(),
             balance_deltas: BTreeMap::new(),
-            shadow_debit: 0,
             meter,
             events: Vec::new(),
         }
-    }
-
-    /// Marks `amount` of the caller's balance as already reserved (the max
-    /// gas fee) when executing against a snapshot that has not been
-    /// debited yet. See the `shadow_debit` field.
-    #[must_use]
-    pub fn with_shadow_debit(mut self, amount: Amount) -> Self {
-        self.shadow_debit = amount;
-        self
     }
 
     /// The contract being executed.
@@ -231,12 +215,7 @@ impl<'a> CallCtx<'a> {
 
     /// An account balance as seen through the overlay.
     fn effective_balance(&self, addr: &Address) -> Amount {
-        let mut base = self.base.balance(addr);
-        if *addr == self.caller {
-            // The reservation was affordability-checked before execution,
-            // so it never exceeds the snapshot balance.
-            base = base.saturating_sub(self.shadow_debit);
-        }
+        let base = self.base.balance(addr);
         match self.balance_deltas.get(addr) {
             Some(delta) => (base as i128 + delta) as Amount,
             None => base,
@@ -325,10 +304,8 @@ impl CallEffects {
 ///
 /// Implementations must be pure over `(ctx state, args)` — no interior
 /// state, no randomness, no wall-clock — so that every validator replays to
-/// the same result. `Send + Sync` because the parallel block executor
-/// dispatches calls from a thread pool (interior caches must use `Mutex`,
-/// not `RefCell`).
-pub trait Contract: Send + Sync {
+/// the same result.
+pub trait Contract {
     /// Handles one call.
     ///
     /// # Errors

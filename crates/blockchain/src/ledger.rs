@@ -39,7 +39,6 @@ use duc_storage::{PrunedRange, StorageConfig};
 use crate::block::BlockValidationError;
 use crate::chain::{Blockchain, SubmitError};
 use crate::contract::{Contract, ContractError, Event};
-use crate::exec::{AccessFn, ExecMode};
 use crate::state::PagingStats;
 use crate::tx::{Receipt, SignedTransaction, TxKind};
 use crate::types::{Address, Amount, ContractId, TxId};
@@ -91,16 +90,6 @@ pub trait Ledger {
 
     /// Whether the contract is deployed.
     fn has_contract(&self, id: &ContractId) -> bool;
-
-    /// Installs an access-set derivation on every shard (the factory runs
-    /// once per shard), enabling conflict-scheduled parallel execution for
-    /// calls the derivation can declare. Default: no-op — without one,
-    /// [`ExecMode::Parallel`] still runs but every call serializes.
-    fn install_access_fn(&mut self, _factory: &dyn Fn() -> AccessFn) {}
-
-    /// Switches every shard's intra-block execution mode. Default: no-op
-    /// for backends without an executor choice.
-    fn set_exec_mode(&mut self, _mode: ExecMode) {}
 
     // -------------------------------------------------------- transactions
 
@@ -331,14 +320,6 @@ impl Ledger for Blockchain {
 
     fn has_contract(&self, id: &ContractId) -> bool {
         Blockchain::has_contract(self, id)
-    }
-
-    fn install_access_fn(&mut self, factory: &dyn Fn() -> AccessFn) {
-        self.set_access_fn(factory());
-    }
-
-    fn set_exec_mode(&mut self, mode: ExecMode) {
-        Blockchain::set_exec_mode(self, mode);
     }
 
     fn build_call(
@@ -586,8 +567,6 @@ impl ShardedLedger {
         );
         let validators = self.shards[0].validator_count();
         let interval = self.shards[0].block_interval();
-        let exec_mode = self.shards[0].exec_mode();
-        let exec_threads = self.shards[0].exec_threads();
         self.shards = (0..self.shards.len())
             .map(|i| {
                 let mut cfg = storage.clone();
@@ -601,21 +580,9 @@ impl ShardedLedger {
                     .validators(validators)
                     .block_interval(interval)
                     .storage(cfg)
-                    .exec_mode(exec_mode)
-                    .exec_threads(exec_threads)
                     .build()
             })
             .collect();
-        self
-    }
-
-    /// Sets every shard's intra-block execution mode (builder form; call
-    /// any time — the mode only matters at block production).
-    #[must_use]
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> ShardedLedger {
-        for shard in &mut self.shards {
-            shard.set_exec_mode(mode);
-        }
         self
     }
 
@@ -730,18 +697,6 @@ impl Ledger for ShardedLedger {
 
     fn has_contract(&self, id: &ContractId) -> bool {
         self.shards[0].has_contract(id)
-    }
-
-    fn install_access_fn(&mut self, factory: &dyn Fn() -> AccessFn) {
-        for shard in &mut self.shards {
-            shard.set_access_fn(factory());
-        }
-    }
-
-    fn set_exec_mode(&mut self, mode: ExecMode) {
-        for shard in &mut self.shards {
-            shard.set_exec_mode(mode);
-        }
     }
 
     fn build_call(

@@ -14,9 +14,6 @@
 //!   dispatched by method name over [`duc_codec`]-encoded arguments, with a
 //!   [`contract::CallCtx`] exposing storage, events, caller identity and
 //!   block metadata.
-//! * [`exec`] — the deterministic parallel executor: access-set conflict
-//!   scheduling plus a seeded work-stealing pool (byte-identical outputs
-//!   to serial execution).
 //! * [`block`] — Merkle-committed blocks signed by their proposer.
 //! * [`chain`] — a proof-of-authority chain: round-robin validator
 //!   committee, mempool, block production clocked by the simulation,
@@ -56,7 +53,6 @@
 pub mod block;
 pub mod chain;
 pub mod contract;
-pub mod exec;
 pub mod gas;
 pub mod ledger;
 pub mod state;
@@ -66,7 +62,6 @@ pub mod types;
 pub use block::{Block, BlockHeader};
 pub use chain::{Blockchain, BlockchainBuilder, SubmitError};
 pub use contract::{CallCtx, Contract, ContractError, Event};
-pub use exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
 pub use gas::{GasMeter, GasSchedule, OutOfGas};
 pub use ledger::{Ledger, RouteKey, RouterFn, ShardedLedger, SingleChain};
 pub use state::{AccountState, InlineKey, PagingStats, WorldState};
@@ -77,12 +72,21 @@ pub use types::{Address, Amount, ContractId, TxId};
 // world-state paging).
 pub use duc_storage::{Checkpoint, PageCompacted, PagingConfig, PrunedRange, StorageConfig};
 
+/// How a chain applies the transactions inside one block. It has one
+/// value: blocks execute serially, in canonical mempool order. Nothing
+/// reads it; it stays only because the benchmark package names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// One transaction at a time, in canonical mempool order.
+    #[default]
+    Serial,
+}
+
 /// Common imports.
 pub mod prelude {
     pub use crate::block::{Block, BlockHeader};
     pub use crate::chain::{Blockchain, BlockchainBuilder, SubmitError};
     pub use crate::contract::{CallCtx, Contract, ContractError, Event};
-    pub use crate::exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
     pub use crate::gas::{GasMeter, GasSchedule};
     pub use crate::ledger::{Ledger, RouteKey, RouterFn, ShardedLedger, SingleChain};
     pub use crate::state::WorldState;

@@ -10,9 +10,9 @@
 //! fault-in re-verifies the page digest.
 
 use std::borrow::Borrow;
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound::{Excluded, Included, Unbounded};
-use std::sync::Mutex;
 
 use duc_crypto::{hash_parts, Digest};
 use duc_storage::{decode_page, encode_page, PageRef, PageStore, PagingConfig};
@@ -125,9 +125,9 @@ impl std::fmt::Debug for InlineKey {
 /// Residency counters for the paged slot store.
 ///
 /// These are *observability* numbers (exported as `/metrics` gauges and
-/// E19 columns), never part of replay fingerprints: under parallel
-/// execution the fault/eviction pattern depends on thread interleaving
-/// while the state content — and therefore the commitment — does not.
+/// E19 columns), never part of replay fingerprints: the fault/eviction
+/// pattern depends on the residency budget while the state content — and
+/// therefore the commitment — does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagingStats {
     /// Pages currently decoded in memory.
@@ -750,13 +750,12 @@ impl PagedSlots {
 /// Ordered pages keep iteration deterministic, and every mutator keeps the
 /// commitment accumulator in sync so [`WorldState::commitment`] — which
 /// block state roots depend on — stays O(1) in the state size. Reads go
-/// through a `Mutex` because a read may *fault in* an evicted page (and
-/// evict another); the lock keeps `WorldState: Sync` for the parallel
-/// executor, which probes shared state from scoped threads.
+/// through a `RefCell` because a read may *fault in* an evicted page (and
+/// evict another).
 #[derive(Debug)]
 pub struct WorldState {
     accounts: BTreeMap<Address, AccountState>,
-    slots: Mutex<PagedSlots>,
+    slots: RefCell<PagedSlots>,
     /// XOR multiset of per-row digests (one row per account, one per
     /// storage slot). XOR is commutative and self-inverse, so replacing a
     /// row is "XOR out the old, XOR in the new" and the accumulator always
@@ -802,17 +801,17 @@ impl WorldState {
     pub fn with_paging(cfg: &PagingConfig) -> WorldState {
         WorldState {
             accounts: BTreeMap::new(),
-            slots: Mutex::new(PagedSlots::from_config(cfg)),
+            slots: RefCell::new(PagedSlots::from_config(cfg)),
             acc: [0u8; 32],
         }
     }
 
     fn slots_mut(&mut self) -> &mut PagedSlots {
-        self.slots.get_mut().expect("world-state lock poisoned")
+        self.slots.get_mut()
     }
 
-    fn slots_shared(&self) -> std::sync::MutexGuard<'_, PagedSlots> {
-        self.slots.lock().expect("world-state lock poisoned")
+    fn slots_shared(&self) -> RefMut<'_, PagedSlots> {
+        self.slots.borrow_mut()
     }
 
     /// The account entry (default zero for unknown addresses).
@@ -994,7 +993,7 @@ impl Clone for WorldState {
     fn clone(&self) -> Self {
         WorldState {
             accounts: self.accounts.clone(),
-            slots: Mutex::new(self.slots_shared().clone_materialized()),
+            slots: RefCell::new(self.slots_shared().clone_materialized()),
             acc: self.acc,
         }
     }

@@ -23,7 +23,7 @@
 //! `start_monitoring`, `register_copy`) never materialize a policy
 //! envelope from storage.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use duc_blockchain::{Address, CallCtx, Contract, ContractError};
 use duc_codec::{decode_from_slice, encode_to_vec};
@@ -47,11 +47,10 @@ pub const DEX_CONTRACT_ID: &str = "dist-exchange";
 /// memo of composed storage keys (interned identity → formatted key
 /// bytes), so repeat calls for the same pod/resource/webid skip the
 /// `format!` machinery. The wire format — storage keys, events, gas — is
-/// byte-identical with or without the cache. A `Mutex` (not `RefCell`)
-/// because the parallel executor dispatches calls from a thread pool.
+/// byte-identical with or without the cache.
 #[derive(Debug, Default)]
 pub struct DistExchange {
-    keys: Mutex<KeyCache>,
+    keys: RefCell<KeyCache>,
 }
 
 /// Composed-storage-key memo: one symbol per identity string, one cached
@@ -144,9 +143,8 @@ fn revert(msg: impl Into<String>) -> ContractError {
 /// Writes the content-addressed pol-table row for `policy` and returns its
 /// digest. Unconditional and idempotent: the key is the digest of the
 /// exact bytes written, so every writer of a given envelope stores
-/// identical bytes — the access layer declares this slot as a *delta* —
-/// and skipping the existence probe keeps gas identical on every path,
-/// serial or parallel.
+/// identical bytes, and skipping the existence probe keeps gas identical
+/// on every path.
 fn put_policy(ctx: &mut CallCtx<'_>, policy: &PolicyEnvelope) -> Result<Digest, ContractError> {
     let digest = policy.digest();
     ctx.set(pol_key(&digest), policy)?;
@@ -174,12 +172,7 @@ impl DistExchange {
     fn register_pod(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (owner_webid, web_ref, default_policy): (String, String, PolicyEnvelope) =
             decode_from_slice(args)?;
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .pod(&owner_webid)
-            .to_vec();
+        let key = self.keys.borrow_mut().pod(&owner_webid).to_vec();
         if ctx.get_raw(&key)?.is_some() {
             return Err(revert(format!("pod already registered for {owner_webid}")));
         }
@@ -197,12 +190,7 @@ impl DistExchange {
 
     fn get_pod(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (owner_webid,): (String,) = decode_from_slice(args)?;
-        let row: Option<PodRow> = ctx.get(
-            self.keys
-                .lock()
-                .expect("key cache poisoned")
-                .pod(&owner_webid),
-        )?;
+        let row: Option<PodRow> = ctx.get(self.keys.borrow_mut().pod(&owner_webid))?;
         let record: Option<PodRecord> = match row {
             None => None,
             Some(row) => {
@@ -226,22 +214,12 @@ impl DistExchange {
             PolicyEnvelope,
         ) = decode_from_slice(args)?;
         let pod: PodRow = ctx
-            .get(
-                self.keys
-                    .lock()
-                    .expect("key cache poisoned")
-                    .pod(&owner_webid),
-            )?
+            .get(self.keys.borrow_mut().pod(&owner_webid))?
             .ok_or_else(|| revert(format!("no pod registered for {owner_webid}")))?;
         if pod.owner_addr != ctx.caller {
             return Err(revert("caller does not own the pod"));
         }
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .res(&resource)
-            .to_vec();
+        let key = self.keys.borrow_mut().res(&resource).to_vec();
         if ctx.get_raw(&key)?.is_some() {
             return Err(revert(format!("resource already registered: {resource}")));
         }
@@ -266,8 +244,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let (resource,): (String,) = decode_from_slice(args)?;
-        let row: Option<ResourceRow> =
-            ctx.get(self.keys.lock().expect("key cache poisoned").res(&resource))?;
+        let row: Option<ResourceRow> = ctx.get(self.keys.borrow_mut().res(&resource))?;
         let record: Option<ResourceRecord> = match row {
             None => None,
             Some(row) => {
@@ -290,12 +267,7 @@ impl DistExchange {
     fn update_policy(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (resource, policy, new_version): (String, PolicyEnvelope, u64) =
             decode_from_slice(args)?;
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .res(&resource)
-            .to_vec();
+        let key = self.keys.borrow_mut().res(&resource).to_vec();
         // The hot path: only the compact row round-trips storage — the
         // superseded envelope is never read, the new one only written.
         let mut row: ResourceRow = ctx
@@ -332,16 +304,12 @@ impl DistExchange {
             duc_crypto::PublicKey,
         ) = decode_from_slice(args)?;
         if ctx
-            .get_raw(self.keys.lock().expect("key cache poisoned").res(&resource))?
+            .get_raw(self.keys.borrow_mut().res(&resource))?
             .is_none()
         {
             return Err(revert(format!("unknown resource {resource}")));
         }
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy(&resource, &device);
+        let key = self.keys.borrow_mut().copy(&resource, &device);
         let row = CopyRow {
             holder_webid,
             attestation_key,
@@ -362,11 +330,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let (resource, device, as_of_nanos): (String, String, u64) = decode_from_slice(args)?;
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy(&resource, &device);
+        let key = self.keys.borrow_mut().copy(&resource, &device);
         let Some(row) = ctx.get::<CopyRow>(&key)? else {
             return Err(revert("no such copy"));
         };
@@ -389,12 +353,7 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         resource: &str,
     ) -> Result<Vec<CopyRecord>, ContractError> {
-        let prefix = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy_prefix(resource)
-            .to_vec();
+        let prefix = self.keys.borrow_mut().copy_prefix(resource).to_vec();
         let keys = ctx.keys_with_prefix(&prefix)?;
         let mut copies = Vec::with_capacity(keys.len());
         for k in keys {
@@ -415,12 +374,7 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         resource: &str,
     ) -> Result<Vec<String>, ContractError> {
-        let prefix = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy_prefix(resource)
-            .to_vec();
+        let prefix = self.keys.borrow_mut().copy_prefix(resource).to_vec();
         let keys = ctx.keys_with_prefix(&prefix)?;
         keys.into_iter()
             .map(|k| {
@@ -437,17 +391,12 @@ impl DistExchange {
     ) -> Result<Vec<u8>, ContractError> {
         let (resource,): (String,) = decode_from_slice(args)?;
         let row: ResourceRow = ctx
-            .get(self.keys.lock().expect("key cache poisoned").res(&resource))?
+            .get(self.keys.borrow_mut().res(&resource))?
             .ok_or_else(|| revert(format!("unknown resource {resource}")))?;
         if row.owner_addr != ctx.caller {
             return Err(revert("only the owner may start monitoring"));
         }
-        let counter_key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .round_counter(&resource)
-            .to_vec();
+        let counter_key = self.keys.borrow_mut().round_counter(&resource).to_vec();
         let round: u64 = ctx.get(&counter_key)?.unwrap_or(0) + 1;
         ctx.set(counter_key, &round)?;
         let expected = self.copy_devices(ctx, &resource)?;
@@ -462,10 +411,7 @@ impl DistExchange {
             closed: expected.is_empty(),
         };
         ctx.set(
-            self.keys
-                .lock()
-                .expect("key cache poisoned")
-                .round(&resource, round),
+            self.keys.borrow_mut().round(&resource, round),
             &round_record,
         )?;
         ctx.emit(
@@ -514,8 +460,7 @@ impl DistExchange {
         let submission: EvidenceSubmission = decode_from_slice(args)?;
         let rkey = self
             .keys
-            .lock()
-            .expect("key cache poisoned")
+            .borrow_mut()
             .round(&submission.resource, submission.round);
         let mut round: MonitoringRound = ctx
             .get(&rkey)?
@@ -543,8 +488,7 @@ impl DistExchange {
             .get(
                 &self
                     .keys
-                    .lock()
-                    .expect("key cache poisoned")
+                    .borrow_mut()
                     .copy(&submission.resource, &submission.device),
             )?
             .ok_or_else(|| revert("copy no longer registered"))?;
@@ -580,11 +524,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let reaff: EvidenceReaffirmation = decode_from_slice(args)?;
-        let rkey = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .round(&reaff.resource, reaff.round);
+        let rkey = self.keys.borrow_mut().round(&reaff.resource, reaff.round);
         let mut round: MonitoringRound = ctx
             .get(&rkey)?
             .ok_or_else(|| revert("unknown monitoring round"))?;
@@ -603,13 +543,7 @@ impl DistExchange {
             return Err(revert("duplicate evidence for device"));
         }
         let copy: CopyRow = ctx
-            .get(
-                &self
-                    .keys
-                    .lock()
-                    .expect("key cache poisoned")
-                    .copy(&reaff.resource, &reaff.device),
-            )?
+            .get(&self.keys.borrow_mut().copy(&reaff.resource, &reaff.device))?
             .ok_or_else(|| revert("copy no longer registered"))?;
         if copy
             .attestation_key
@@ -624,8 +558,7 @@ impl DistExchange {
             .get(
                 &self
                     .keys
-                    .lock()
-                    .expect("key cache poisoned")
+                    .borrow_mut()
                     .round(&reaff.resource, reaff.prev_round),
             )?
             .ok_or_else(|| revert("unknown prior round"))?;
@@ -655,13 +588,8 @@ impl DistExchange {
 
     fn get_round(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (resource, round): (String, u64) = decode_from_slice(args)?;
-        let record: Option<MonitoringRound> = ctx.get(
-            &self
-                .keys
-                .lock()
-                .expect("key cache poisoned")
-                .round(&resource, round),
-        )?;
+        let record: Option<MonitoringRound> =
+            ctx.get(&self.keys.borrow_mut().round(&resource, round))?;
         Ok(encode_to_vec(&record))
     }
 
@@ -687,14 +615,7 @@ impl DistExchange {
             paid_at: ctx.block_time,
             valid_until: ctx.block_time + SimDuration::from_nanos(validity),
         };
-        ctx.set(
-            self.keys
-                .lock()
-                .expect("key cache poisoned")
-                .sub(&webid)
-                .to_vec(),
-            &sub,
-        )?;
+        ctx.set(self.keys.borrow_mut().sub(&webid).to_vec(), &sub)?;
         // Existence marker only: ownership of the certificate is implied —
         // the sole writer of cert/{c} is the subscribe that minted c, and
         // c commits to the subscriber's WebID (hash preimage above), so
@@ -715,8 +636,7 @@ impl DistExchange {
     ) -> Result<Vec<u8>, ContractError> {
         let (certificate, webid): (Digest, String) = decode_from_slice(args)?;
         let valid = if ctx.get_raw(&cert_key(&certificate))?.is_some() {
-            let sub: Option<SubRow> =
-                ctx.get(self.keys.lock().expect("key cache poisoned").sub(&webid))?;
+            let sub: Option<SubRow> = ctx.get(self.keys.borrow_mut().sub(&webid))?;
             sub.map(|s| s.certificate == certificate && s.valid_at(ctx.block_time))
                 .unwrap_or(false)
         } else {
@@ -732,7 +652,7 @@ impl DistExchange {
     ) -> Result<Vec<u8>, ContractError> {
         let (webid,): (String,) = decode_from_slice(args)?;
         let sub: Option<Subscription> = ctx
-            .get::<SubRow>(self.keys.lock().expect("key cache poisoned").sub(&webid))?
+            .get::<SubRow>(self.keys.borrow_mut().sub(&webid))?
             .map(|row| row.into_record(webid));
         Ok(encode_to_vec(&sub))
     }

@@ -18,11 +18,9 @@
 //!
 //! All argument/return types live in [`abi`] and are encoded with
 //! [`duc_codec`]; [`client`] offers typed wrappers so callers never touch
-//! raw bytes. [`access`] declares the state footprint of each call so the
-//! parallel block executor can schedule non-conflicting calls concurrently.
+//! raw bytes.
 
 pub mod abi;
-pub mod access;
 pub mod client;
 pub mod dist_exchange;
 pub mod routing;
@@ -32,7 +30,6 @@ pub use abi::{
     CopyRecord, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound, PodRecord,
     PolicyEnvelope, ResourceRecord, Subscription,
 };
-pub use access::{dex_access, dex_access_fn};
 pub use client::DistExchangeClient;
 pub use dist_exchange::{DistExchange, DEX_CONTRACT_ID};
 pub use rows::{pol_key, CopyRow, PodRow, ResourceRow, SubRow};

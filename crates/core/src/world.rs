@@ -60,9 +60,9 @@ pub struct WorldConfig {
     /// window and optional archive path (disabled by default — every
     /// block stays resident, the pre-storage behaviour).
     pub storage: StorageConfig,
-    /// Block-execution mode: serial (the default) or the deterministic
-    /// parallel executor. Defaults from `DUC_EXEC_MODE`; both produce
-    /// byte-identical chains.
+    /// Block-execution mode. It has one value, [`ExecMode::Serial`], and
+    /// nothing reads it; it stays only because the benchmark package
+    /// names it.
     pub exec_mode: ExecMode,
 }
 
@@ -81,7 +81,7 @@ impl Default for WorldConfig {
             shards: 1,
             enforcement: EnforcementMode::Deadline,
             storage: StorageConfig::disabled(),
-            exec_mode: ExecMode::from_env(),
+            exec_mode: ExecMode::Serial,
         }
     }
 }
@@ -211,7 +211,6 @@ impl World {
             .validators(config.validators)
             .block_interval(config.block_interval)
             .storage(config.storage.clone())
-            .exec_mode(config.exec_mode)
             .build();
         World::with_ledger(config, chain)
     }
@@ -229,7 +228,6 @@ impl World<ShardedLedger> {
             config.block_interval,
         )
         .with_storage(config.storage.clone())
-        .with_exec_mode(config.exec_mode)
         .with_router(duc_contracts::routing::dex_router());
         World::with_ledger(config, chain)
     }
@@ -244,7 +242,6 @@ impl<L: Ledger> World<L> {
         chain.deploy_with(ContractId::new(DEX_CONTRACT_ID), &|| {
             Box::new(DistExchange::default())
         });
-        chain.install_access_fn(&duc_contracts::dex_access_fn);
         let dex = DistExchangeClient::new();
 
         // Market initialization by a deployment admin, once per shard.
@@ -618,9 +615,9 @@ impl<L: Ledger> World<L> {
         // World-state paging residency: gauges for what is resident *now*,
         // monotone counters for eviction/fault-in/compaction traffic. Read
         // from `Ledger::paging_stats()` and only ever surfaced here —
-        // eviction order under the parallel executor is nondeterministic,
-        // so these numbers must never enter the sim registry (and hence
-        // the replay fingerprint).
+        // they depend on the residency budget, and paged and unpaged runs
+        // must fingerprint identically, so these numbers must never enter
+        // the sim registry (and hence the replay fingerprint).
         let paging = self.chain.paging_stats();
         hub.gauge_set(
             "duc_state_resident_pages",

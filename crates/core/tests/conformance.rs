@@ -8,7 +8,7 @@
 //! suite compares *outcomes* — what happened — not fingerprints, which are
 //! only required to replay byte-identically within one backend.
 
-use duc_blockchain::{Checkpoint, ExecMode, Ledger, PagingConfig, StorageConfig};
+use duc_blockchain::{Checkpoint, Ledger, PagingConfig, StorageConfig};
 use duc_codec::Encode;
 use duc_core::chaos::{self, fixed_link};
 use duc_core::prelude::*;
@@ -377,58 +377,6 @@ proptest! {
         prop_assert_eq!(&s1, &s2, "paged sharded replay diverged");
 
         let _ = std::fs::remove_dir_all(&spill_dir);
-    }
-}
-
-/// The parallel intra-shard executor must be invisible: the golden
-/// scenario reproduces its exact outcome and gas pins under
-/// [`ExecMode::Parallel`], whatever `DUC_EXEC_MODE` says. (The absolute
-/// pin test above already covers whichever mode the environment selects;
-/// this one forces the parallel executor explicitly.)
-#[test]
-fn parallel_execution_reproduces_the_golden_scenario() {
-    let parallel = |shards| WorldConfig {
-        exec_mode: ExecMode::Parallel,
-        ..config(7, shards)
-    };
-
-    let (report, world) = scenario_on(World::new(parallel(1)));
-    assert_eq!(report.alice_got_bytes, 152, "parallel: alice bytes");
-    assert_eq!(report.bob_got_bytes, 480, "parallel: bob bytes");
-    assert_eq!(report.total_gas, 2_500_408, "parallel single-chain gas pin");
-    chaos::check_invariants(&world).expect("invariants under parallel execution");
-
-    let (report, world) = scenario_on(World::new_sharded(parallel(4)));
-    assert_eq!(report.total_gas, 2_735_842, "parallel sharded gas pin");
-    chaos::check_invariants(&world).expect("invariants under sharded parallel execution");
-    world
-        .chain
-        .validate_chains()
-        .expect("every shard validates under parallel execution");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// For any seed, the serial and parallel executors produce
-    /// byte-identical replay fingerprints on both ledger backends: same
-    /// blocks, same receipts, same event stream, same balances.
-    #[test]
-    fn parallel_runs_fingerprint_identically_to_serial(seed in 0u64..200) {
-        let serial = |shards| WorldConfig {
-            exec_mode: ExecMode::Serial,
-            ..config(seed, shards)
-        };
-        let parallel = |shards| WorldConfig {
-            exec_mode: ExecMode::Parallel,
-            ..config(seed, shards)
-        };
-        let s = fault_free_fingerprint(World::new(serial(1)), seed);
-        let p = fault_free_fingerprint(World::new(parallel(1)), seed);
-        prop_assert_eq!(&s, &p, "single-chain serial/parallel diverged");
-        let s = fault_free_fingerprint(World::new_sharded(serial(4)), seed);
-        let p = fault_free_fingerprint(World::new_sharded(parallel(4)), seed);
-        prop_assert_eq!(&s, &p, "sharded serial/parallel diverged");
     }
 }
 

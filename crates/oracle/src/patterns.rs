@@ -273,25 +273,6 @@ impl PushInOracle {
         Err(OracleError::NetworkDropped)
     }
 
-    /// Submits and waits for inclusion in one step.
-    ///
-    /// # Errors
-    /// Any error of [`PushInOracle::submit`] or [`await_inclusion`].
-    #[allow(clippy::too_many_arguments)] // the full blocking conveniences
-    pub fn submit_and_confirm<L: Ledger>(
-        &mut self,
-        chain: &mut L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        from: EndpointId,
-        tx: SignedTransaction,
-        timeout: SimDuration,
-    ) -> Result<Receipt, OracleError> {
-        let id = self.submit(chain, net, clock, rng, from, tx)?;
-        await_inclusion(chain, clock, &id, timeout)
-    }
-
     /// `(submissions, retries)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.submissions, self.retries)
@@ -593,26 +574,16 @@ impl PullInOracle {
     /// advanced here — the caller commits it with
     /// [`PullInOracle::commit_cursor`] once the response hop actually
     /// arrives, so a lost response never strands events behind the cursor.
-    pub fn collect_requests<L: Ledger>(&self, chain: &L) -> PullInPoll {
-        self.collect_from(chain.events_since(self.cursor))
-    }
-
-    /// Like [`PullInOracle::collect_requests`], but a cursor below the
-    /// chain's prune horizon is a typed [`OracleError::Pruned`] error —
-    /// request events in `(cursor, horizon]` were evicted before this poll
-    /// saw them, so the caller must checkpoint-resync
-    /// ([`PullInOracle::resync`]) instead of treating the poll as empty.
     ///
     /// # Errors
-    /// [`OracleError::Pruned`] when the cursor is below the horizon.
+    /// [`OracleError::Pruned`] when the cursor is below the chain's prune
+    /// horizon: request events in `(cursor, horizon]` were evicted before
+    /// this poll saw them, so the caller must checkpoint-resync
+    /// ([`PullInOracle::resync`]) instead of treating the poll as empty.
     pub fn try_collect_requests<L: Ledger>(&self, chain: &L) -> Result<PullInPoll, OracleError> {
         let fresh = chain
             .try_events_since(self.cursor)
             .map_err(OracleError::Pruned)?;
-        Ok(self.collect_from(fresh))
-    }
-
-    fn collect_from(&self, fresh: &[(u64, Rc<Event>)]) -> PullInPoll {
         let cursor_to = fresh.iter().map(|(h, _)| *h).max().unwrap_or(self.cursor);
         let events: Vec<(u64, Rc<Event>)> = fresh
             .iter()
@@ -624,7 +595,7 @@ impl PullInOracle {
             .map(|(_, e)| e.data.len() as u64 + 64)
             .sum::<u64>()
             .max(32);
-        (events, response_size, cursor_to)
+        Ok((events, response_size, cursor_to))
     }
 
     /// Advances the cursor to `height` (monotonic) after a poll's response
@@ -661,33 +632,6 @@ impl PullInOracle {
     ) -> Option<SimDuration> {
         net.transmit(gateway_ep, self.relay, response_size, rng)
             .delay()
-    }
-
-    /// New request events since the last poll (the off-chain half's work
-    /// queue). The poll itself costs one request/response pair against the
-    /// chain gateway, modelled on `gateway_ep`.
-    ///
-    /// # Errors
-    /// [`OracleError::NetworkDropped`] when the poll round-trip is lost.
-    pub fn poll_requests<L: Ledger>(
-        &mut self,
-        chain: &L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        gateway_ep: EndpointId,
-    ) -> Result<Vec<(u64, Rc<Event>)>, OracleError> {
-        let hop = self
-            .begin_poll(net, rng, gateway_ep)
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop);
-        let (events, response_size, cursor_to) = self.collect_requests(chain);
-        let hop_back = self
-            .finish_poll(net, rng, gateway_ep, response_size)
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop_back);
-        self.commit_cursor(cursor_to);
-        Ok(events)
     }
 
     /// The watched topic.
@@ -791,16 +735,10 @@ mod tests {
             encode_to_vec(&(42u64,)),
             1_000_000,
         );
-        let receipt = oracle
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(30),
-            )
+        let id = oracle
+            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
+            .expect("submitted");
+        let receipt = await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(30))
             .expect("included");
         assert!(receipt.status.is_ok());
         // Network hop (10 ms) then inclusion at the 2 s slot boundary.
@@ -869,17 +807,11 @@ mod tests {
             encode_to_vec(&(1u64,)),
             1_000_000,
         );
-        let err = oracle
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(10),
-            )
-            .unwrap_err();
+        let id = oracle
+            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
+            .expect("submitted");
+        let err =
+            await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap_err();
         assert!(matches!(err, OracleError::InclusionTimeout { .. }));
     }
 
@@ -900,17 +832,10 @@ mod tests {
             encode_to_vec(&(9u64,)),
             1_000_000,
         );
-        push_in
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(10),
-            )
-            .unwrap();
+        let id = push_in
+            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
+            .expect("submitted");
+        await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
 
         let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
         assert_eq!(deliveries.len(), 2, "one per matching subscriber");
@@ -932,17 +857,10 @@ mod tests {
             encode_to_vec(&(10u64,)),
             1_000_000,
         );
-        push_in
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(10),
-            )
-            .unwrap();
+        let id = push_in
+            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
+            .expect("submitted");
+        await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
         let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].recipient, s.device);
@@ -1001,6 +919,26 @@ mod tests {
         ));
     }
 
+    /// One pull-in poll through the halves the driver runs as separate
+    /// steps: request hop, collect at the gateway, response hop, then the
+    /// cursor commit.
+    fn poll(
+        pull_in: &mut PullInOracle,
+        s: &mut Setup,
+    ) -> Result<Vec<(u64, Rc<Event>)>, OracleError> {
+        let hop = pull_in
+            .begin_poll(&mut s.net, &mut s.rng, s.gateway)
+            .ok_or(OracleError::NetworkDropped)?;
+        s.clock.advance(hop);
+        let (events, response_size, cursor_to) = pull_in.try_collect_requests(&s.chain)?;
+        let hop_back = pull_in
+            .finish_poll(&mut s.net, &mut s.rng, s.gateway, response_size)
+            .ok_or(OracleError::NetworkDropped)?;
+        s.clock.advance(hop_back);
+        pull_in.commit_cursor(cursor_to);
+        Ok(events)
+    }
+
     #[test]
     fn pull_in_lost_response_does_not_strand_events() {
         let mut s = setup(fixed_link(5));
@@ -1026,15 +964,11 @@ mod tests {
                 bandwidth_bps: None,
             },
         );
-        let err = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap_err();
+        let err = poll(&mut pull_in, &mut s).unwrap_err();
         assert_eq!(err, OracleError::NetworkDropped);
         // Healed: the same events are served by the retry.
         s.net.set_link(s.gateway, s.relay, fixed_link(5));
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        let events = poll(&mut pull_in, &mut s).unwrap();
         assert_eq!(events.len(), 1, "events survive a lost response hop");
     }
 
@@ -1043,9 +977,7 @@ mod tests {
         let mut s = setup(fixed_link(5));
         let mut pull_in = PullInOracle::new(s.relay, "Stored");
         // Nothing yet.
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        let events = poll(&mut pull_in, &mut s).unwrap();
         assert!(events.is_empty());
         // Produce an event.
         let tx = s.chain.build_call(
@@ -1058,15 +990,11 @@ mod tests {
         s.chain.submit(tx).unwrap();
         s.clock.advance_to(SimTime::from_secs(2));
         s.chain.advance_to(s.clock.now());
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        let events = poll(&mut pull_in, &mut s).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(pull_in.topic(), "Stored");
         // Cursor advanced: re-poll is empty.
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        let events = poll(&mut pull_in, &mut s).unwrap();
         assert!(events.is_empty());
     }
 
