@@ -16,6 +16,10 @@
 //!   against the DE App's on-chain registry.
 //! - **Copy consistency** — every live TEE copy is registered on-chain (a
 //!   fault can never mint an unregistered governed copy).
+//! - **No overdue copies** — under [`EnforcementMode::Deadline`], no
+//!   device with a healthy host holds a live copy past its retention or
+//!   expiry deadline: the obligation scheduler, the only enforcement path,
+//!   fired every wakeup that fell due.
 //! - **Consistent gas accounting** — every unit of consumed gas was paid
 //!   out to a proposer, regardless of which fault windows hit.
 //! - **Cursors never stranded** — the pull-in/push-out oracle cursors stay
@@ -30,7 +34,7 @@ use duc_sim::{EndpointId, FaultPlan, LatencyModel, LinkConfig, Rng, SimDuration,
 
 use crate::driver::{Outcome, Request, Ticket};
 use crate::process::ProcessError;
-use crate::world::World;
+use crate::world::{EnforcementMode, World};
 
 /// The result of one chaos run: per-ticket outcomes plus aggregates.
 #[derive(Debug)]
@@ -197,6 +201,25 @@ pub fn check_invariants<L: Ledger>(world: &World<L>) -> Result<(), String> {
                 return Err(format!(
                     "device {name} holds an unregistered copy of {resource}"
                 ));
+            }
+        }
+    }
+
+    // No overdue copies: every deadline at or before now has had its
+    // wakeup run, so a healthy host holds nothing past its deadline.
+    if world.config.enforcement == EnforcementMode::Deadline {
+        let now = world.clock.now();
+        for (name, device) in &devices {
+            if world.is_rogue_host(name) {
+                continue;
+            }
+            for resource in device.tee.resources() {
+                let due = device.tee.next_deadline_for(resource);
+                if let Some(due) = due.filter(|due| *due < now) {
+                    return Err(format!(
+                        "device {name} still holds {resource}, due at {due} (now {now})"
+                    ));
+                }
             }
         }
     }

@@ -73,7 +73,6 @@ impl Indexing {
                 };
                 let dev_endpoint = dev.endpoint;
                 let args = duc_codec::encode_to_vec(&(resource.clone(),));
-                world.pull_out.count_read();
                 let hop = Hop::new(
                     world,
                     dev_endpoint,

@@ -15,6 +15,10 @@
 //!
 //! Under [`EnforcementMode::Periodic`] the wakeups land on a fixed grid
 //! instead — the round-based baseline E14 compares against.
+//!
+//! These wakeups are the only enforcement path: nothing scans the fleet
+//! for overdue copies. A copy whose wakeup fired on a rogue host is
+//! re-armed when the host heals ([`World::set_rogue_host`]).
 
 use duc_blockchain::{Ledger, Receipt};
 use duc_oracle::OracleError;
@@ -61,9 +65,9 @@ impl<L: Ledger> ObligationRun<L> {
                 // Rogue hosts suppress their enclave timers: the wakeup
                 // fires into the void (monitoring will surface the
                 // violation instead). Under the periodic baseline the
-                // next grid sweep must still probe — a host healed later
-                // is then enforced; under Deadline mode the advance()
-                // deadline fallback self-heals.
+                // next grid sweep must still probe; under Deadline mode
+                // `set_rogue_host(.., false)` re-arms the healed host's
+                // copies instead.
                 if world.is_rogue_host(&device) {
                     if matches!(world.config.enforcement, EnforcementMode::Periodic(_)) {
                         world.schedule_obligation_after(&device, &resource, now);
@@ -238,8 +242,8 @@ impl<L: Ledger> World<L> {
 
     /// Like [`World::schedule_obligation`], but never earlier than the
     /// first instant strictly after `floor` — used to re-arm an
-    /// already-overdue wakeup (e.g. a rogue host under the periodic
-    /// baseline) without refiring at the same instant.
+    /// already-overdue wakeup (a rogue host under the periodic baseline,
+    /// or a healed rogue host) without refiring at the same instant.
     pub(crate) fn schedule_obligation_after(
         &mut self,
         device: &str,

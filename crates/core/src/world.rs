@@ -20,13 +20,14 @@ use duc_tee::{AttestationAuthority, Enclave, TrustedApplication};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnforcementMode {
     /// Deadline-driven (the default): the driver's obligation scheduler
-    /// registers a wakeup at each copy's exact `next_transition` /
-    /// deadline instant, so enforcement fires the moment a decision can
-    /// flip — no polling.
+    /// arms one wakeup per copy at its exact retention/expiry deadline, so
+    /// enforcement fires the moment the copy becomes overdue. The wakeup
+    /// is the only enforcement path; nothing polls the fleet.
     Deadline,
-    /// Round-based baseline (experiment E14): obligations are only
-    /// checked on a fixed-period grid, so a violation waits for the next
-    /// sweep — the behaviour the paper's round-based monitoring implies.
+    /// Round-based baseline (experiment E14): each copy's wakeup is
+    /// rounded up to a fixed-period grid, so a violation waits for the
+    /// next sweep — the behaviour the paper's round-based monitoring
+    /// implies.
     Periodic(SimDuration),
 }
 
@@ -191,11 +192,6 @@ pub struct World<L = Blockchain> {
     applied_faults: AppliedFaults,
     /// Devices whose hosts suppress enclave timers (fault injection).
     rogue_hosts: std::collections::HashSet<String>,
-    /// Devices whose trusted application reported a damaged state
-    /// ([`duc_tee::TeeError`]): excluded from the deadline poll so a
-    /// permanently faulted enclave cannot pin [`World::advance`] to the
-    /// same overdue instant forever.
-    tee_faulted: std::collections::HashSet<String>,
     /// Key material for encrypted policy envelopes (E9). In a production
     /// deployment this would come from a key-distribution service; the
     /// simulation provisions it to owners and TEEs out of band.
@@ -290,7 +286,6 @@ impl<L: Ledger> World<L> {
             trace,
             gateway,
             rogue_hosts: std::collections::HashSet::new(),
-            tee_faulted: std::collections::HashSet::new(),
             policy_key: ([0x42; 32], [0x17; 12]),
             engine: PolicyEngine::default(),
             config,
@@ -484,15 +479,31 @@ impl<L: Ledger> World<L> {
     }
 
     /// Marks a device's host as rogue: its enclave timer interrupts are
-    /// suppressed, so obligation sweeps never fire autonomously (the
+    /// suppressed, so obligation wakeups fire into the void (the
     /// monitoring experiments use this to create detectable violators; the
     /// enclave still cannot *forge* evidence).
+    ///
+    /// Healing a rogue host re-arms a wakeup for each of its live copies
+    /// just after the current instant, so copies that went overdue while
+    /// the timer was suppressed are enforced on the next event-loop step.
     pub fn set_rogue_host(&mut self, device: impl Into<String>, rogue: bool) {
         let device = device.into();
         if rogue {
             self.rogue_hosts.insert(device);
-        } else {
-            self.rogue_hosts.remove(&device);
+        } else if self.rogue_hosts.remove(&device) {
+            let Some(dev) = self.devices.get(&device) else {
+                return;
+            };
+            let live: Vec<String> = dev
+                .tee
+                .resources()
+                .filter(|r| dev.tee.has_copy(r))
+                .map(str::to_string)
+                .collect();
+            let now = self.clock.now();
+            for resource in live {
+                self.schedule_obligation_after(&device, &resource, now);
+            }
         }
     }
 
@@ -507,35 +518,22 @@ impl<L: Ledger> World<L> {
     /// policy"), in-flight driver requests progress through their scheduled
     /// continuations, and the chain catches up to the final instant.
     ///
-    /// Copies that entered through the driver (process 4) are enforced by
-    /// the obligation scheduler's own wakeup events; the deadline poll
-    /// below is a fallback for copies stored directly into a TEE by test
-    /// or bench harnesses, and is disabled under
-    /// [`EnforcementMode::Periodic`] (where the grid wakeups are the whole
-    /// point).
+    /// Every governed copy enters a TEE through the driver (process 4),
+    /// which arms its obligation wakeup on the scheduler, so the loop only
+    /// runs woken work and the scheduler events due by the target.
     pub fn advance(&mut self, d: SimDuration) {
         let target = self.clock.now() + d;
         loop {
             // Driver work due at the current instant runs first.
             self.step_woken();
-            let next_deadline = self.next_obligation_deadline().filter(|at| *at <= target);
-            let next_event = self.sched.next_event_at().filter(|at| *at <= target);
-            match (next_event, next_deadline) {
-                (Some(event_at), deadline) if deadline.is_none_or(|dl| event_at <= dl) => {
-                    self.sched.run_until(event_at);
-                    // The chain catches up under the pre-boundary fault
-                    // state; plan transitions due at this instant flip
-                    // afterwards.
-                    self.chain.advance_to(self.clock.now());
-                    self.apply_faults();
-                }
-                (_, Some(deadline)) => {
-                    self.clock.advance_to(deadline);
-                    self.apply_faults();
-                    self.sweep_devices();
-                }
-                _ => break,
-            }
+            let Some(event_at) = self.sched.next_event_at().filter(|at| *at <= target) else {
+                break;
+            };
+            self.sched.run_until(event_at);
+            // The chain catches up under the pre-boundary fault state;
+            // plan transitions due at this instant flip afterwards.
+            self.chain.advance_to(self.clock.now());
+            self.apply_faults();
         }
         self.step_woken();
         self.clock.advance_to(target);
@@ -543,34 +541,13 @@ impl<L: Ledger> World<L> {
         self.apply_faults();
     }
 
-    /// The earliest pending TEE obligation deadline across healthy
-    /// devices — the fallback poll [`World::advance`] honours. `None`
-    /// under [`EnforcementMode::Periodic`], where the grid wakeups are the
-    /// whole point.
-    pub fn next_obligation_deadline(&self) -> Option<duc_sim::SimTime> {
-        match self.config.enforcement {
-            EnforcementMode::Periodic(_) => None,
-            EnforcementMode::Deadline => self
-                .devices
-                .iter()
-                .filter(|(name, _)| {
-                    !self.rogue_hosts.contains(*name) && !self.tee_faulted.contains(*name)
-                })
-                .filter_map(|(_, dev)| dev.tee.next_obligation_deadline())
-                .min(),
-        }
-    }
-
     /// The next logical instant at which this world has internal work: the
-    /// scheduler's next event or the next obligation deadline, whichever
-    /// comes first. The wall-clock pacing loop mirrors this instant into a
-    /// real timer (`duc-runtime`'s drive loop); sim-mode callers can keep
-    /// using [`World::advance`] / [`World::run_until_idle`] directly.
+    /// scheduler's next event (obligation wakeups included). The
+    /// wall-clock pacing loop mirrors this instant into a real timer
+    /// (`duc-runtime`'s drive loop); sim-mode callers can keep using
+    /// [`World::advance`] / [`World::run_until_idle`] directly.
     pub fn next_wakeup_at(&mut self) -> Option<duc_sim::SimTime> {
-        match (self.sched.next_event_at(), self.next_obligation_deadline()) {
-            (Some(event), Some(deadline)) => Some(event.min(deadline)),
-            (event, deadline) => event.or(deadline),
-        }
+        self.sched.next_event_at()
     }
 
     /// Mirrors every metric this world keeps — the sim registry's counters
@@ -668,73 +645,6 @@ impl<L: Ledger> World<L> {
             "duc_gas_used_total",
             "Gas consumed by confirmed contract calls, by contract and method.",
         );
-    }
-
-    /// Runs every device's obligation sweep at the current instant (the
-    /// TEEs' periodic timers; cf. ablation E11) and returns executed
-    /// actions. Deletions also unregister the on-chain copy.
-    ///
-    /// The unregister confirmation is a *blocking* wait: it advances the
-    /// shared clock up to one block. Drive in-flight driver requests to
-    /// idle before sweeping (the wrappers and [`World::advance`] do) or
-    /// their scheduled wakes fire late by the sweep's confirmation time.
-    pub fn sweep_devices(&mut self) -> Vec<(String, duc_tee::EnforcementAction)> {
-        let now = self.clock.now();
-        let mut all = Vec::new();
-        let mut pending = Vec::new();
-        let mut names: Vec<String> = self
-            .devices
-            .keys()
-            .filter(|n| !self.rogue_hosts.contains(*n) && !self.tee_faulted.contains(*n))
-            .map(str::to_string)
-            .collect();
-        // Sorted: HashMap iteration order is per-process random, and the
-        // unregister transactions below must land in the same order on
-        // every identically-seeded run (byte-identical determinism).
-        names.sort_unstable();
-        for name in names {
-            let device = self.devices.get_mut(&name).expect("key exists");
-            let actions = match device.tee.sweep(now) {
-                Ok(actions) => actions,
-                Err(e) => {
-                    // A damaged enclave state is permanent: record it and
-                    // quarantine the device from the deadline poll, so the
-                    // fault surfaces in metrics/trace instead of pinning
-                    // the advance loop to the same overdue instant.
-                    self.metrics.incr("enforcement.tee_faults");
-                    self.tee_faulted.insert(name.clone());
-                    self.trace
-                        .record(now, format!("tee:{name}"), "tee.fault", e.to_string());
-                    continue;
-                }
-            };
-            for action in actions {
-                if let duc_tee::EnforcementAction::Deleted { resource, .. } = &action {
-                    self.metrics.incr("enforcement.deletions");
-                    let tx =
-                        self.dex
-                            .unregister_copy_tx(&self.chain, &device.key, resource, &name, now);
-                    if let Ok(id) = self.chain.submit(tx) {
-                        pending.push(id);
-                    }
-                }
-                all.push((name.clone(), action));
-            }
-        }
-        // Confirm *every* unregistration before anything else (e.g. a
-        // monitoring round) can race it within one block: awaiting only the
-        // last id would let an earlier unregister tx that missed the block
-        // slip past the barrier.
-        for id in &pending {
-            let _ = duc_oracle::await_inclusion(
-                &mut self.chain,
-                &self.clock,
-                id,
-                SimDuration::from_secs(120),
-            );
-        }
-        self.sync_chain();
-        all
     }
 
     /// Immutable owner lookup; `None` when the WebID is unknown. Internal

@@ -2,9 +2,9 @@
 //! fire at their exact declared instant (with on-chain evidence) under
 //! [`EnforcementMode::Deadline`], on the polling grid under
 //! [`EnforcementMode::Periodic`], re-arm on mid-flight policy changes, and
-//! respect rogue hosts.
+//! respect rogue hosts until they heal.
 
-use duc_core::chaos::fixed_link;
+use duc_core::chaos::{check_invariants, fixed_link};
 use duc_core::prelude::*;
 use duc_solid::Body;
 
@@ -345,4 +345,50 @@ fn healed_rogue_host_is_enforced_on_the_next_periodic_sweep() {
         !world.device("device-0").tee.has_copy(&resource),
         "the healed host was enforced on the next grid sweep"
     );
+}
+
+#[test]
+fn healed_rogue_host_is_enforced_under_deadline_mode() {
+    // The rogue wakeup fires into the void and is not re-armed under
+    // Deadline mode; healing the host re-arms it, so the overdue copy is
+    // enforced right after the heal, with evidence and a lag sample.
+    let (mut world, resource) = world_with_copies(1, 1, config(EnforcementMode::Deadline));
+    world.set_rogue_host("device-0", true);
+    world.advance(SimDuration::from_days(2));
+    let due = world
+        .device("device-0")
+        .tee
+        .next_deadline_for(&resource)
+        .expect("suppressed timer left the overdue copy");
+    let anchored = world.metrics.counter("enforcement.evidence_anchored");
+    check_invariants(&world).expect("a rogue host's overdue copy is exempt");
+    let healed_at = world.clock.now();
+    world.set_rogue_host("device-0", false);
+    // Until the re-armed wakeup runs, the healed host is overdue.
+    let err = check_invariants(&world).expect_err("overdue copy on a healthy host");
+    assert!(err.contains("device-0 still holds"), "{err}");
+    world.advance(SimDuration::from_secs(1));
+    assert!(
+        !world.device("device-0").tee.has_copy(&resource),
+        "the healed host enforced the overdue copy"
+    );
+    let lag = world.metrics.histogram_mut("enforcement.lag");
+    assert_eq!(lag.len(), 1);
+    assert!(
+        lag.max() >= healed_at - due,
+        "lag spans the suppressed window"
+    );
+    // The `unregister_copy` evidence lands with the next sealed block.
+    world.advance(world.config.block_interval);
+    assert!(!world
+        .dex
+        .list_copies(&world.chain, &resource)
+        .expect("view")
+        .iter()
+        .any(|c| c.device == "device-0"));
+    assert_eq!(
+        world.metrics.counter("enforcement.evidence_anchored"),
+        anchored + 1
+    );
+    check_invariants(&world).expect("nothing overdue, nothing in flight");
 }

@@ -12,10 +12,15 @@
 //! Every hop is priced by the [`duc_sim::NetworkModel`], so oracle traffic
 //! shows up in the latency experiments; submission retries and delivery
 //! drops feed the robustness experiment (E8).
+//!
+//! Nothing here waits: no function advances a [`duc_sim::Clock`]. Each call
+//! prices one hop or checks one state ([`poll_inclusion`] reports when to
+//! look again), and `duc-core`'s request driver schedules the next step on
+//! its event loop.
 
 pub mod patterns;
 
 pub use patterns::{
-    await_inclusion, poll_inclusion, HopKind, InclusionStatus, OracleError, OutboundDelivery,
-    PullInOracle, PullOutOracle, PushInOracle, PushOutOracle,
+    poll_inclusion, HopKind, InclusionStatus, OracleError, OutboundDelivery, PullInOracle,
+    PullOutOracle, PushInOracle, PushOutOracle,
 };

@@ -2,10 +2,7 @@
 
 use std::rc::Rc;
 
-use duc_blockchain::{
-    ContractError, Event, Ledger, PrunedRange, Receipt, SignedTransaction, SubmitError, TxId,
-};
-use duc_codec::encode_to_vec;
+use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, Receipt, SubmitError, TxId};
 use duc_sim::{Clock, EndpointId, NetworkModel, Rng, SimDuration, SimTime};
 
 /// Which network hop of an oracle interaction failed. Typed so a driver can
@@ -143,10 +140,10 @@ pub enum InclusionStatus {
 /// receipt, and — when the transaction is still pending — reports when the
 /// caller should poll again instead of spinning the shared clock forward.
 ///
-/// This is the continuation-friendly half of [`await_inclusion`]: a driver
-/// schedules a wake-up at `retry_at` and re-polls, so hundreds of in-flight
-/// processes can wait for inclusion concurrently without serializing on the
-/// clock.
+/// A driver schedules a wake-up at `retry_at` and re-polls, so hundreds of
+/// in-flight processes can wait for inclusion concurrently without
+/// serializing on the clock; past `deadline` it gets
+/// [`InclusionStatus::TimedOut`] instead of waiting longer.
 pub fn poll_inclusion<L: Ledger>(
     chain: &mut L,
     now: SimTime,
@@ -162,30 +159,6 @@ pub fn poll_inclusion<L: Ledger>(
     }
     InclusionStatus::Pending {
         retry_at: chain.next_slot_at(now).min(deadline),
-    }
-}
-
-/// Advances the clock slot-by-slot until `id` has a receipt (inclusion) or
-/// the timeout elapses. Models "waiting for confirmation".
-///
-/// # Errors
-/// [`OracleError::InclusionTimeout`] when the deadline passes — e.g. when
-/// crashed proposers stall the chain (robustness experiment E8).
-pub fn await_inclusion<L: Ledger>(
-    chain: &mut L,
-    clock: &Clock,
-    id: &TxId,
-    timeout: SimDuration,
-) -> Result<Receipt, OracleError> {
-    let deadline = clock.now() + timeout;
-    loop {
-        match poll_inclusion(chain, clock.now(), id, deadline) {
-            InclusionStatus::Included(receipt) => return Ok(receipt),
-            InclusionStatus::TimedOut { deadline } => {
-                return Err(OracleError::InclusionTimeout { deadline })
-            }
-            InclusionStatus::Pending { retry_at } => clock.advance_to(retry_at),
-        }
     }
 }
 
@@ -241,38 +214,6 @@ impl PushInOracle {
         SimDuration::from_millis(100 * attempt as u64)
     }
 
-    /// Submits `tx` from `from` through the relay; the clock advances by
-    /// the network hops (and retry backoff on loss).
-    ///
-    /// # Errors
-    /// [`OracleError::NetworkDropped`] after all attempts fail,
-    /// [`OracleError::Rejected`] when the chain refuses the transaction.
-    pub fn submit<L: Ledger>(
-        &mut self,
-        chain: &mut L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        from: EndpointId,
-        tx: SignedTransaction,
-    ) -> Result<TxId, OracleError> {
-        let size = tx.encoded_size() as u64;
-        for attempt in 0..self.max_attempts {
-            if attempt > 0 {
-                // Linear backoff before a retry.
-                clock.advance(Self::backoff(attempt));
-            }
-            match self.attempt(net, rng, from, size, attempt) {
-                None => continue,
-                Some(hop) => {
-                    clock.advance(hop);
-                    return chain.submit(tx).map_err(OracleError::Rejected);
-                }
-            }
-        }
-        Err(OracleError::NetworkDropped)
-    }
-
     /// `(submissions, retries)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.submissions, self.retries)
@@ -324,42 +265,14 @@ impl PushOutOracle {
         self.subscriptions.push((topic.into(), recipient));
     }
 
-    /// Removes all subscriptions of `recipient` to `topic`.
-    pub fn unsubscribe(&mut self, topic: &str, recipient: EndpointId) {
-        self.subscriptions
-            .retain(|(t, r)| !(t == topic && *r == recipient));
-    }
-
     /// Drains new chain events and computes their deliveries. Lost
     /// messages are counted and omitted (at-most-once delivery, like a
     /// plain webhook relay — the monitoring process tolerates this by
-    /// re-polling). If the cursor has fallen below the chain's prune
-    /// horizon, the oracle resyncs to the horizon (counted in
-    /// [`PushOutOracle::resyncs`]) and drains from there — the behaviour
-    /// [`PushOutOracle::try_drain`] surfaces as a typed error instead.
-    pub fn drain<L: Ledger>(
-        &mut self,
-        chain: &L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-    ) -> Vec<OutboundDelivery> {
-        match self.try_drain(chain, net, clock, rng) {
-            Ok(deliveries) => deliveries,
-            Err(OracleError::Pruned(e)) => {
-                self.resync(e.horizon);
-                self.try_drain(chain, net, clock, rng)
-                    .expect("cursor at horizon is always valid")
-            }
-            Err(_) => unreachable!("try_drain only fails with Pruned"),
-        }
-    }
-
-    /// Like [`PushOutOracle::drain`], but a cursor below the prune horizon
-    /// is a typed [`OracleError::Pruned`] error: events in
-    /// `(cursor, horizon]` were evicted before this relay saw them, and the
-    /// caller decides how to recover (checkpoint-resync via
-    /// [`PushOutOracle::resync`], then drain again).
+    /// re-polling). A cursor below the prune horizon is a typed
+    /// [`OracleError::Pruned`] error: events in `(cursor, horizon]` were
+    /// evicted before this relay saw them, and the caller decides how to
+    /// recover (checkpoint-resync via [`PushOutOracle::resync`], then drain
+    /// again).
     ///
     /// # Errors
     /// [`OracleError::Pruned`] when the cursor is below the horizon.
@@ -429,102 +342,30 @@ impl PushOutOracle {
 
 /// **Pull-out**: an off-chain component reads contract state through the
 /// oracle (resource indexing, certificate checks). Read-only, no
-/// transaction.
+/// transaction. The driver prices the request and response hops itself
+/// with the wire sizes below.
 #[derive(Debug, Clone)]
 pub struct PullOutOracle {
     /// The relay's network endpoint.
     pub relay: EndpointId,
-    reads: u64,
 }
 
 impl PullOutOracle {
     /// A pull-out oracle at `relay`.
     pub fn new(relay: EndpointId) -> PullOutOracle {
-        PullOutOracle { relay, reads: 0 }
+        PullOutOracle { relay }
     }
 
-    /// The wire size of a read request for `method`/`args` (what
-    /// [`PullOutOracle::begin_read`] transmits).
+    /// The wire size of a read request for `method`/`args` (component →
+    /// relay).
     pub fn request_size(method: &str, args: &[u8]) -> u64 {
         (args.len() + method.len() + 64) as u64
     }
 
-    /// The wire size of a read response carrying `payload_len` bytes (what
-    /// [`PullOutOracle::finish_read`] transmits).
+    /// The wire size of a read response carrying `payload_len` bytes
+    /// (relay → component).
     pub fn response_size(payload_len: usize) -> u64 {
         payload_len as u64 + 32
-    }
-
-    /// Accounts one logical read without transmitting. Drivers that manage
-    /// their own per-hop retries count the read once up front, then retry
-    /// the raw hops without inflating the counter.
-    pub fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    /// Non-blocking first half of a read: counts the read and returns the
-    /// request-hop delay (`from` → relay), or `None` when the hop is lost.
-    pub fn begin_read(
-        &mut self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        from: EndpointId,
-        method: &str,
-        args: &[u8],
-    ) -> Option<SimDuration> {
-        self.reads += 1;
-        net.transmit(from, self.relay, Self::request_size(method, args), rng)
-            .delay()
-    }
-
-    /// Non-blocking second half of a read: the response-hop delay (relay →
-    /// `to`) for a `payload_len`-byte result, or `None` when lost.
-    pub fn finish_read(
-        &self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        to: EndpointId,
-        payload_len: usize,
-    ) -> Option<SimDuration> {
-        net.transmit(self.relay, to, Self::response_size(payload_len), rng)
-            .delay()
-    }
-
-    /// Executes a view call from `from`, charging a request and a response
-    /// network hop.
-    ///
-    /// # Errors
-    /// [`OracleError::NetworkDropped`] on either hop,
-    /// [`OracleError::View`] when the contract rejects the call.
-    #[allow(clippy::too_many_arguments)] // the full blocking convenience
-    pub fn read<L: Ledger>(
-        &mut self,
-        chain: &L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        from: EndpointId,
-        contract: &duc_blockchain::ContractId,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, OracleError> {
-        let hop = self
-            .begin_read(net, rng, from, method, args)
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop);
-        let out = chain
-            .call_view(contract, method, args)
-            .map_err(OracleError::View)?;
-        let hop_back = self
-            .finish_read(net, rng, from, out.len())
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop_back);
-        Ok(out)
-    }
-
-    /// Number of reads served.
-    pub fn reads(&self) -> u64 {
-        self.reads
     }
 }
 
@@ -555,17 +396,6 @@ impl PullInOracle {
             topic: topic.into(),
             resyncs: 0,
         }
-    }
-
-    /// Non-blocking first half of a poll: the request-hop delay (relay →
-    /// gateway), or `None` when lost.
-    pub fn begin_poll(
-        &self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        gateway_ep: EndpointId,
-    ) -> Option<SimDuration> {
-        net.transmit(self.relay, gateway_ep, 64, rng).delay()
     }
 
     /// Collects the topic-matching request events since the last poll;
@@ -621,40 +451,17 @@ impl PullInOracle {
         self.resyncs
     }
 
-    /// Non-blocking second half of a poll: the response-hop delay (gateway
-    /// → relay), or `None` when lost.
-    pub fn finish_poll(
-        &self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        gateway_ep: EndpointId,
-        response_size: u64,
-    ) -> Option<SimDuration> {
-        net.transmit(gateway_ep, self.relay, response_size, rng)
-            .delay()
-    }
-
-    /// The watched topic.
-    pub fn topic(&self) -> &str {
-        &self.topic
-    }
-
     /// The height up to which request events have been acknowledged.
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
 }
 
-/// Encodes typed view-call arguments (convenience re-export for callers).
-pub fn encode_args<T: duc_codec::Encode>(args: &T) -> Vec<u8> {
-    encode_to_vec(args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use duc_blockchain::{Blockchain, CallCtx, Contract, ContractError, ContractId};
-    use duc_codec::decode_from_slice;
+    use duc_codec::{decode_from_slice, encode_to_vec};
     use duc_sim::{LatencyModel, LinkConfig};
 
     struct Echo;
@@ -724,74 +531,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_in_submits_and_confirms() {
-        let mut s = setup(fixed_link(10));
-        let mut oracle = PushInOracle::new(s.relay);
+    /// Sends one `store(v)` call straight into the mempool (the hop into
+    /// the chain is the driver's business, not the oracle's).
+    fn store(s: &mut Setup, v: u64) -> TxId {
         let tx = s.chain.build_call(
             &s.key,
             ContractId::new("echo"),
             "store",
-            encode_to_vec(&(42u64,)),
+            encode_to_vec(&(v,)),
             1_000_000,
         );
-        let id = oracle
-            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
-            .expect("submitted");
-        let receipt = await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(30))
-            .expect("included");
-        assert!(receipt.status.is_ok());
-        // Network hop (10 ms) then inclusion at the 2 s slot boundary.
-        assert_eq!(s.clock.now(), SimTime::from_secs(2));
-        assert_eq!(oracle.stats(), (1, 0));
-    }
-
-    #[test]
-    fn push_in_retries_on_lossy_network() {
-        let mut s = setup(LinkConfig {
-            latency: LatencyModel::Constant(SimDuration::from_millis(5)),
-            drop_probability: 0.6,
-            bandwidth_bps: None,
-        });
-        let mut oracle = PushInOracle::new(s.relay);
-        oracle.max_attempts = 20;
-        let mut successes = 0;
-        for i in 0..10u64 {
-            let tx = s.chain.build_call(
-                &s.key,
-                ContractId::new("echo"),
-                "store",
-                encode_to_vec(&(i,)),
-                1_000_000,
-            );
-            if oracle
-                .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
-                .is_ok()
-            {
-                successes += 1;
-            }
-        }
-        assert_eq!(successes, 10, "20 attempts beat 60% loss");
-        let (_, retries) = oracle.stats();
-        assert!(retries > 0, "retries occurred");
-    }
-
-    #[test]
-    fn push_in_gives_up_when_partitioned() {
-        let mut s = setup(fixed_link(5));
-        s.net.partition(s.device, s.relay);
-        let mut oracle = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(1u64,)),
-            1_000_000,
-        );
-        assert_eq!(
-            oracle.submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx),
-            Err(OracleError::NetworkDropped)
-        );
+        s.chain.submit(tx).expect("mempool")
     }
 
     #[test]
@@ -799,20 +549,36 @@ mod tests {
         let mut s = setup(fixed_link(5));
         s.chain.set_validator_down(0, true);
         s.chain.set_validator_down(1, true);
-        let mut oracle = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(1u64,)),
-            1_000_000,
+        let id = store(&mut s, 1);
+        let deadline = s.clock.now() + SimDuration::from_secs(10);
+        // Re-poll at each returned slot boundary, as a driver's wakeups do.
+        let mut polls = 0;
+        loop {
+            polls += 1;
+            match poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline) {
+                InclusionStatus::Pending { retry_at } => {
+                    assert!(retry_at > s.clock.now() && retry_at <= deadline);
+                    s.clock.advance_to(retry_at);
+                }
+                InclusionStatus::TimedOut { deadline: at } => {
+                    assert_eq!(at, deadline);
+                    break;
+                }
+                InclusionStatus::Included(r) => panic!("stalled chain included {r:?}"),
+            }
+        }
+        assert_eq!(
+            s.clock.now(),
+            deadline,
+            "the wait is bounded by the deadline"
         );
-        let id = oracle
-            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
-            .expect("submitted");
-        let err =
-            await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap_err();
-        assert!(matches!(err, OracleError::InclusionTimeout { .. }));
+        assert!(polls > 2, "pending polls come back at slot boundaries");
+        // With the validators back, the same transaction is included.
+        s.chain.set_validator_down(0, false);
+        s.chain.set_validator_down(1, false);
+        let later = deadline + SimDuration::from_secs(4);
+        let status = poll_inclusion(&mut s.chain, later, &id, later);
+        assert!(matches!(status, InclusionStatus::Included(r) if r.status.is_ok()));
     }
 
     #[test]
@@ -824,20 +590,13 @@ mod tests {
         push_out.subscribe("Stored", d2);
         push_out.subscribe("OtherTopic", s.device);
 
-        let mut push_in = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(9u64,)),
-            1_000_000,
-        );
-        let id = push_in
-            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
-            .expect("submitted");
-        await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
+        store(&mut s, 9);
+        s.clock.advance_to(SimTime::from_secs(2));
+        s.chain.advance_to(s.clock.now());
 
-        let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
+        let deliveries = push_out
+            .try_drain(&s.chain, &mut s.net, &s.clock, &mut s.rng)
+            .expect("cursor valid");
         assert_eq!(deliveries.len(), 2, "one per matching subscriber");
         for d in &deliveries {
             assert_eq!(d.event.topic, "Stored");
@@ -845,94 +604,30 @@ mod tests {
         }
         // A second drain yields nothing (cursor advanced).
         assert!(push_out
-            .drain(&s.chain, &mut s.net, &s.clock, &mut s.rng)
+            .try_drain(&s.chain, &mut s.net, &s.clock, &mut s.rng)
+            .expect("cursor valid")
             .is_empty());
         assert_eq!(push_out.stats(), (2, 0));
-        // Unsubscribe stops delivery.
-        push_out.unsubscribe("Stored", d2);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(10u64,)),
-            1_000_000,
-        );
-        let id = push_in
-            .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
-            .expect("submitted");
-        await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
-        let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
-        assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].recipient, s.device);
+        assert_eq!(push_out.cursor(), s.chain.height());
     }
 
-    #[test]
-    fn pull_out_reads_state_with_latency() {
-        let mut s = setup(fixed_link(25));
-        // Store something first (directly, no oracle needed for setup).
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(7u64,)),
-            1_000_000,
-        );
-        s.chain.submit(tx).unwrap();
-        s.clock.advance_to(SimTime::from_secs(2));
-        s.chain.advance_to(s.clock.now());
-
-        let before = s.clock.now();
-        let mut pull_out = PullOutOracle::new(s.relay);
-        let out = pull_out
-            .read(
-                &s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                &ContractId::new("echo"),
-                "load",
-                &[],
-            )
-            .expect("view ok");
-        let (v,): (u64,) = decode_from_slice(&out).unwrap();
-        assert_eq!(v, 7);
-        assert_eq!(
-            s.clock.now() - before,
-            SimDuration::from_millis(50),
-            "two 25 ms hops"
-        );
-        assert_eq!(pull_out.reads(), 1);
-        // Bad method surfaces as a view error.
-        assert!(matches!(
-            pull_out.read(
-                &s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                &ContractId::new("echo"),
-                "nope",
-                &[],
-            ),
-            Err(OracleError::View(_))
-        ));
-    }
-
-    /// One pull-in poll through the halves the driver runs as separate
-    /// steps: request hop, collect at the gateway, response hop, then the
-    /// cursor commit.
+    /// One pull-in poll as the driver runs it in separate steps: request
+    /// hop, collect at the gateway, response hop, then the cursor commit.
     fn poll(
         pull_in: &mut PullInOracle,
         s: &mut Setup,
     ) -> Result<Vec<(u64, Rc<Event>)>, OracleError> {
-        let hop = pull_in
-            .begin_poll(&mut s.net, &mut s.rng, s.gateway)
+        let hop = s
+            .net
+            .transmit(pull_in.relay, s.gateway, 64, &mut s.rng)
+            .delay()
             .ok_or(OracleError::NetworkDropped)?;
         s.clock.advance(hop);
         let (events, response_size, cursor_to) = pull_in.try_collect_requests(&s.chain)?;
-        let hop_back = pull_in
-            .finish_poll(&mut s.net, &mut s.rng, s.gateway, response_size)
+        let hop_back = s
+            .net
+            .transmit(s.gateway, pull_in.relay, response_size, &mut s.rng)
+            .delay()
             .ok_or(OracleError::NetworkDropped)?;
         s.clock.advance(hop_back);
         pull_in.commit_cursor(cursor_to);
@@ -943,14 +638,7 @@ mod tests {
     fn pull_in_lost_response_does_not_strand_events() {
         let mut s = setup(fixed_link(5));
         let mut pull_in = PullInOracle::new(s.relay, "Stored");
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(11u64,)),
-            1_000_000,
-        );
-        s.chain.submit(tx).unwrap();
+        store(&mut s, 11);
         s.clock.advance_to(SimTime::from_secs(2));
         s.chain.advance_to(s.clock.now());
         // The gateway → relay return hop is down: the poll fails, but the
@@ -980,19 +668,12 @@ mod tests {
         let events = poll(&mut pull_in, &mut s).unwrap();
         assert!(events.is_empty());
         // Produce an event.
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(3u64,)),
-            1_000_000,
-        );
-        s.chain.submit(tx).unwrap();
+        store(&mut s, 3);
         s.clock.advance_to(SimTime::from_secs(2));
         s.chain.advance_to(s.clock.now());
         let events = poll(&mut pull_in, &mut s).unwrap();
         assert_eq!(events.len(), 1);
-        assert_eq!(pull_in.topic(), "Stored");
+        assert!(events.iter().all(|(_, e)| e.topic == "Stored"));
         // Cursor advanced: re-poll is empty.
         let events = poll(&mut pull_in, &mut s).unwrap();
         assert!(events.is_empty());
@@ -1052,12 +733,6 @@ mod tests {
             .expect("cursor at horizon");
         assert!(!deliveries.is_empty());
         assert!(deliveries.iter().all(|d| d.height > horizon));
-        // The blocking wrapper recovers on its own (auto-resync).
-        let mut auto = PushOutOracle::new(s.relay);
-        auto.subscribe("Stored", s.device);
-        let deliveries = auto.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
-        assert!(!deliveries.is_empty());
-        assert_eq!(auto.resyncs(), 1);
     }
 
     #[test]

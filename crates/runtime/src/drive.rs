@@ -1,14 +1,14 @@
 //! The clock-generic drive loop.
 //!
 //! A [`Workload`] is a state machine with its own internal event queue
-//! (the sim world's scheduler + obligation deadlines): it exposes the next
-//! instant it needs to run (`next_due`), accepts admitted commands, and is
-//! paced forward to the current instant. [`drive`] runs a workload on any
-//! [`Clock`] by mirroring `next_due` into a re-armable pace timer — in sim
-//! mode this reproduces the classic `next_event_at` hop loop exactly; in
-//! wall mode the same code blocks a real thread until each instant
-//! arrives, with producer threads injecting admissions through
-//! [`crate::WallHandle`]s.
+//! (the sim world's scheduler, obligation wakeups included): it exposes
+//! the next instant it needs to run (`next_due`), accepts admitted
+//! commands, and is paced forward to the current instant. [`drive`] runs
+//! a workload on any [`Clock`] by mirroring `next_due` into a re-armable
+//! pace timer — in sim mode this reproduces the classic `next_event_at`
+//! hop loop exactly; in wall mode the same code blocks a real thread until
+//! each instant arrives, with producer threads injecting admissions
+//! through [`crate::WallHandle`]s.
 //!
 //! Graceful shutdown: a [`ShutdownSignal`] flips the loop into draining
 //! mode — new admissions are rejected, in-flight work is paced to
